@@ -1,6 +1,8 @@
 //! End-to-end per-iteration wall-clock of the two engines (the micro view
 //! behind Tables IV/V), plus the flat-vs-tree aggregation ablation.
 
+#![expect(clippy::disallowed_methods, reason = "iter_custom times the engine")]
+
 use columnsgd::cluster::{FailurePlan, NetworkModel};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::data::synth;

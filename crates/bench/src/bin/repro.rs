@@ -13,6 +13,8 @@
 //! additionally writes a telemetry JSONL trace (default
 //! `repro_results/TRACE_sample.jsonl`, overridable with `--trace-out`).
 
+#![expect(clippy::disallowed_methods, reason = "reports wall-clock durations")]
+
 use std::io::Write;
 
 use columnsgd_bench::datasets::DEFAULT_SCALE;

@@ -16,6 +16,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![expect(clippy::disallowed_methods, reason = "harnesses measure wall-clock")]
 
 pub mod datasets;
 pub mod experiments;

@@ -46,8 +46,10 @@ pub fn chunk_bounds(len: usize, k: usize) -> Vec<(usize, usize)> {
 ///
 /// # Panics
 /// Panics if the buffers differ in length or `buffers` is empty.
-// Indexed loops: `w` is the worker id of a simultaneous exchange step.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "`w` is the worker id of a simultaneous exchange step"
+)]
 pub fn ring_allreduce_sum(buffers: &mut [DenseVector], traffic: &TrafficStats) {
     let k = buffers.len();
     assert!(k > 0, "allreduce needs at least one participant");
@@ -330,7 +332,7 @@ mod tests {
                 })
             })
             .collect();
-        let mut results = std::collections::HashMap::new();
+        let mut results = std::collections::BTreeMap::new();
         for h in handles {
             let (rank, res) = h.join().unwrap();
             results.insert(rank, res);

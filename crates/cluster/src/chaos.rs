@@ -14,14 +14,12 @@
 //! dropped message still crossed the network and is recorded; a
 //! duplicated message is recorded twice.
 
-use serde::{Deserialize, Serialize};
-
 /// Probabilistic fault-injection specification.
 ///
 /// Probabilities are per *data-plane message* (drop/dup/delay) or per
 /// *compute attempt* (crash). All zero (the [`Default`]) means no
 /// injection even when armed.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChaosSpec {
     /// Seed for every chaos decision.
     pub seed: u64,

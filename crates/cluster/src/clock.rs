@@ -7,10 +7,8 @@
 //! long as its slowest participant — and keeps the full per-iteration
 //! trace so convergence-vs-time curves (Figure 8) can be replayed.
 
-use serde::{Deserialize, Serialize};
-
 /// Breakdown of one iteration's simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IterationTime {
     /// Slowest worker's compute time (after straggler inflation), seconds.
     pub compute_s: f64,
@@ -28,7 +26,7 @@ impl IterationTime {
 }
 
 /// The accumulating simulated clock.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimClock {
     elapsed_s: f64,
     iterations: Vec<IterationTime>,

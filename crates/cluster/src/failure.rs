@@ -13,12 +13,11 @@
 
 use columnsgd_linalg::rng::{self, DetRng};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::chaos::ChaosSpec;
 
 /// Straggler injection specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerSpec {
     /// StragglerLevel: extra-time ratio (1 = twice as slow, 5 = six times).
     pub level: f64,
@@ -73,7 +72,7 @@ impl StragglerSpec {
 }
 
 /// A scripted failure event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureEvent {
     /// A task on `worker` throws at `iteration`; Spark-style retry on the
     /// same worker (data and model partitions survive in memory).
@@ -94,7 +93,7 @@ pub enum FailureEvent {
 }
 
 /// The full injection plan for one training run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailurePlan {
     /// Optional straggler injection.
     pub straggler: Option<StragglerSpec>,

@@ -6,13 +6,11 @@
 //! size is large, the communication cost is more affected by network
 //! bandwidth." A transfer of `n` bytes costs `latency + n / bandwidth`.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/bandwidth model of one network link, plus the fixed per-round
 /// scheduling overhead of the driver (Spark task launch, which the paper
 /// cites to explain why MXNet beats ColumnSGD on avazu: "perhaps due to the
 /// scheduling latency in Spark", §V-B2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-way message latency in seconds.
     pub latency_s: f64,

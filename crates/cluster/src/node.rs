@@ -1,14 +1,12 @@
 //! Node identities in the simulated cluster.
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of a node in the cluster.
 ///
 /// ColumnSGD uses one [`NodeId::Master`] and K [`NodeId::Worker`]s
 /// (Figure 1b). The parameter-server baselines additionally use
 /// [`NodeId::Server`]s — the paper configures "the number of servers same
 /// as that of workers" (§V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeId {
     /// The coordinating master (Spark driver).
     Master,

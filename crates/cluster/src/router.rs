@@ -25,6 +25,8 @@
 //! converts a worker panic into a failure message to the master instead
 //! of a silently dead thread.
 
+#![expect(clippy::disallowed_types, reason = "point lookups, never iterated")]
+
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -607,11 +609,6 @@ impl<M: Wire> Endpoint<M> {
         self.rx.try_recv().ok()
     }
 
-    /// Number of messages waiting in the mailbox.
-    pub fn pending(&self) -> usize {
-        self.rx.len()
-    }
-
     /// The router (e.g. for broadcast loops).
     pub fn router(&self) -> &Router<M> {
         &self.router
@@ -756,16 +753,17 @@ mod tests {
     }
 
     #[test]
-    fn pending_counts_mailbox() {
+    fn mailbox_queues_in_send_order() {
         let (router, mut eps) =
             Router::<u64>::new(&[NodeId::Master, NodeId::Worker(0)], TrafficStats::new());
         let w0 = eps.pop().unwrap();
         for i in 0..4 {
             router.send(NodeId::Master, NodeId::Worker(0), i).unwrap();
         }
-        assert_eq!(w0.pending(), 4);
-        assert_eq!(w0.try_recv().unwrap().payload, 0);
-        assert_eq!(w0.pending(), 3);
+        let queued: Vec<u64> = std::iter::from_fn(|| w0.try_recv())
+            .map(|e| e.payload)
+            .collect();
+        assert_eq!(queued, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -973,7 +971,7 @@ mod tests {
         assert_eq!(dead.len(), 3);
         assert!(dead.iter().all(|f| f.iteration == 7 && f.worker == 0));
         // The fresh mailbox starts empty and works.
-        assert_eq!(w0b.pending(), 0);
+        assert!(w0b.try_recv().is_none());
         router.send(NodeId::Master, NodeId::Worker(0), 9).unwrap();
         assert_eq!(w0b.recv().unwrap().payload, 9);
     }

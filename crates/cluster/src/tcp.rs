@@ -34,6 +34,9 @@
 //! process, calls [`TcpHub::disconnect`], spawns a fresh process, and
 //! [`TcpHub::await_workers`] for the new connection.
 
+#![expect(clippy::disallowed_methods, reason = "connect deadlines")]
+#![expect(clippy::disallowed_types, reason = "the metered TCP transport")]
+
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -690,7 +693,8 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpClient<M> {
     }
 
     fn reregister(&self, id: NodeId) -> Reregistered<M> {
-        // lint: allow(panic-hygiene) protocol misuse, not a runtime fault: reregistration is a master-side operation by construction
+        // Protocol misuse, not a runtime fault: reregistration is a
+        // master-side operation by construction.
         panic!("cannot reregister {id} on a worker-side transport");
     }
 

@@ -27,6 +27,8 @@
 //! ignores the call if it has since been reregistered (a stale endpoint
 //! of a replaced worker must not kill its successor's mailbox).
 
+#![expect(clippy::disallowed_types, reason = "point lookups, never iterated")]
+
 use std::collections::HashMap;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};

@@ -4,7 +4,8 @@
 //! bootstrap — hub address, worker id, cluster shape, full training
 //! config, and this worker's scripted-failure schedule — arrives as a
 //! single hex-armored line on stdin (see `columnsgd_core::host::BootSpec`;
-//! the vendored `serde` is a facade, so the encoding is hand-rolled).
+//! the workspace has no serialization framework, so the encoding is
+//! hand-rolled).
 //!
 //! The process connects to the master's `TcpHub`, runs the ordinary
 //! `run_worker` mailbox loop, and exits when the master shuts the run
@@ -13,6 +14,10 @@
 //! `ColMsg::WorkerPanic` over the still-open socket — the same contract
 //! `spawn_guarded` provides for thread-hosted workers — and the process
 //! then exits nonzero.
+
+// panic-hygiene (DESIGN.md §10): faults surface as typed errors, not panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -243,6 +243,10 @@ const T_SHARD_INSTALLED: u8 = 23;
 const T_DROP_SHARD: u8 = 24;
 
 impl WireCodec for ColMsg {
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
         match self {
             ColMsg::LoadBlock(b) => {

@@ -37,6 +37,8 @@
 //! the workspace `panic-hygiene` lint — faults surface as typed
 //! [`TrainError`]s, never panics.
 
+#![expect(clippy::disallowed_methods, reason = "detection timing and deadlines")]
+
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -913,7 +915,7 @@ impl ElasticEngine {
     /// primaries *now* (the superstep needs them), defers replication
     /// repairs to after the update barrier, excuses its outstanding tasks,
     /// and re-issues the orphaned partitions to their new primaries.
-    #[allow(clippy::too_many_arguments)] // iteration-local recovery state
+    #[expect(clippy::too_many_arguments, reason = "iteration-local recovery state")]
     fn handle_dead_worker(
         &mut self,
         t: u64,
@@ -1100,7 +1102,10 @@ impl ElasticEngine {
         out
     }
 
-    #[allow(clippy::too_many_lines)] // the BSP superstep is one coherent unit
+    #[expect(
+        clippy::too_many_lines,
+        reason = "the BSP superstep is one coherent unit"
+    )]
     fn train_inner(&mut self) -> Result<ElasticOutcome, TrainError> {
         let mut clock = SimClock::new();
         let mut curve = Curve::new("ColumnSGD-elastic");
@@ -1192,6 +1197,12 @@ impl ElasticEngine {
                 .iter()
                 .any(|task| !task.excused && task.reply.is_none())
             {
+                // Every ColMsg variant gets an explicit arm: a new variant
+                // must not land without a decision here.
+                #[deny(
+                    clippy::wildcard_enum_match_arm,
+                    clippy::match_wildcard_for_single_variants
+                )]
                 match self.recv_next(deadline) {
                     Ok(env) => match env.payload {
                         ColMsg::StatsReplyFor {
@@ -1289,7 +1300,8 @@ impl ElasticEngine {
                         // noise on the master's mailbox. Named explicitly
                         // — this arm is the master side's decision record
                         // for every ColMsg variant it does not service,
-                        // and protocol-conformance holds it to that.
+                        // and the wildcard deny on this match holds it to
+                        // that.
                         other @ (ColMsg::LoadBlock(..)
                         | ColMsg::ReloadBlock(..)
                         | ColMsg::Workset { .. }
@@ -1765,7 +1777,7 @@ impl ElasticEngine {
 
     /// Emits the six per-iteration spans plus the kernel record (the
     /// static engine's schema, so trace tooling works unchanged).
-    #[allow(clippy::too_many_arguments)] // iteration-local measurements
+    #[expect(clippy::too_many_arguments, reason = "iteration-local measurements")]
     fn emit_superstep(
         &self,
         t: u64,

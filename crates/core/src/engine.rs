@@ -20,6 +20,9 @@
 //! the [`TrainOutcome`], so experiments report recovery behaviour from
 //! observed events rather than from the injection script.
 
+#![expect(clippy::disallowed_methods, reason = "phase timing and deadlines")]
+#![expect(clippy::disallowed_types, reason = "point lookups, never iterated")]
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -197,7 +200,6 @@ impl ColumnSgdEngine {
     ///
     /// # Panics
     /// Same contract as [`ColumnSgdEngine::new`].
-    #[allow(clippy::too_many_arguments)] // one backend knob on a wide constructor
     pub fn new_clustered(
         dataset: &Dataset,
         k: usize,
@@ -250,7 +252,6 @@ impl ColumnSgdEngine {
     ///
     /// # Panics
     /// Same contract as [`ColumnSgdEngine::from_blocks`].
-    #[allow(clippy::too_many_arguments)] // the traced variant of an already-wide constructor
     pub fn from_blocks_traced(
         blocks: Vec<Block>,
         dim: u64,
@@ -284,7 +285,10 @@ impl ColumnSgdEngine {
     /// Same contract as [`ColumnSgdEngine::new`], plus
     /// [`TrainError::LoadFailed`] when the TCP backend cannot spawn or
     /// connect its worker processes.
-    #[allow(clippy::too_many_arguments)] // one backend knob on a wide constructor
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one backend knob on a wide constructor"
+    )]
     pub fn from_blocks_clustered(
         blocks: Vec<Block>,
         dim: u64,
@@ -398,7 +402,7 @@ impl ColumnSgdEngine {
         )
     }
 
-    #[allow(clippy::too_many_arguments)] // internal assembly step
+    #[expect(clippy::too_many_arguments, reason = "internal assembly step")]
     fn spawned(
         cfg: ColumnSgdConfig,
         k: usize,
@@ -1345,7 +1349,7 @@ impl ColumnSgdEngine {
     /// overhead folds in the scheduling constant plus this iteration's
     /// recovery charge, so the six spans sum to exactly the clock's delta
     /// for the iteration.
-    #[allow(clippy::too_many_arguments)] // iteration-local measurements
+    #[expect(clippy::too_many_arguments, reason = "iteration-local measurements")]
     fn emit_superstep(
         &self,
         t: u64,
@@ -1402,7 +1406,7 @@ impl ColumnSgdEngine {
     /// Probe-classify-recover for one silent worker. `agg` is `Some`
     /// during the update phase (recovery must re-drive the update) and
     /// `None` during the gather phase (recovery re-issues the task).
-    #[allow(clippy::too_many_arguments)] // iteration-local recovery state
+    #[expect(clippy::too_many_arguments, reason = "iteration-local recovery state")]
     fn recover_silent(
         &mut self,
         t: u64,
@@ -1473,7 +1477,7 @@ impl ColumnSgdEngine {
 
     /// Sends `Update` to worker `w`; a dead mailbox is detected, the
     /// worker respawned and re-driven through the iteration.
-    #[allow(clippy::too_many_arguments)] // iteration-local recovery state
+    #[expect(clippy::too_many_arguments, reason = "iteration-local recovery state")]
     fn issue_update(
         &mut self,
         t: u64,
@@ -1775,7 +1779,7 @@ impl ColumnSgdEngine {
 /// accounts as recovery charge, and duplicate replies (chaos, redundant
 /// re-issues) carry identical statistics and must not inflate the compute
 /// phase. The old `+=` here double-billed every retried attempt.
-#[allow(clippy::too_many_arguments)] // gather-local fold state
+#[expect(clippy::too_many_arguments, reason = "gather-local fold state")]
 fn fold_stats_reply(
     partials: &mut HashMap<usize, Vec<f64>>,
     compute_times: &mut [f64],

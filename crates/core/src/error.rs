@@ -10,10 +10,9 @@
 //! injection script.
 
 use columnsgd_cluster::NetError;
-use serde::{Deserialize, Serialize};
 
 /// What failed, as classified by the master after detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
     /// A task attempt failed (exception or lost reply); the worker and its
     /// state survive, the task is re-issued.
@@ -34,7 +33,7 @@ impl std::fmt::Display for FaultKind {
 
 /// How the master *detected* the fault — the reactive part of reactive
 /// fault tolerance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DetectionMethod {
     /// The worker replied with an explicit task-failure report.
     ErrorReply,
@@ -59,7 +58,7 @@ impl std::fmt::Display for DetectionMethod {
 }
 
 /// One detected-and-recovered fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryEvent {
     /// Iteration during which the fault was detected.
     pub iteration: u64,

@@ -5,7 +5,7 @@
 //! [`ClusterConfig`](columnsgd_cluster::ClusterConfig):
 //!
 //! * **Threads** (`TransportKind::InProc`): workers are guarded threads
-//!   sharing the master's [`Router`] over crossbeam channels — the
+//!   sharing the master's [`Router`] over in-process channels — the
 //!   original single-process runtime.
 //! * **Processes** (`TransportKind::Tcp`): workers are child processes
 //!   running the `columnsgd-worker` binary, connected to the master's
@@ -17,8 +17,8 @@
 //!
 //! # Bootstrap wire format
 //!
-//! The vendored `serde` is a no-op facade, so the worker bootstrap is
-//! hand-encoded with the same primitives as the message codec
+//! The workspace carries no serialization framework, so the worker
+//! bootstrap is hand-encoded with the same primitives as the message codec
 //! ([`columnsgd_cluster::codec`]): a [`BootSpec`] is serialized to bytes,
 //! hex-armored, and written as a single line on the child's stdin. Hex
 //! keeps the channel line-oriented and immune to platform newline
@@ -404,7 +404,10 @@ impl WorkerHost {
     /// abandoned queued messages are drained and metered as drops at the
     /// same site. Threads get a fresh endpoint + guarded thread; processes
     /// get a fresh child that must reconnect to the hub within `deadline`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a respawn carries the full worker bootstrap"
+    )]
     pub fn respawn(
         &mut self,
         router: &Router<ColMsg>,
@@ -503,7 +506,6 @@ impl WorkerHost {
 ///
 /// The thread shares the master's `recorder`, so worker-side kernel and
 /// guard records land directly in the merged trace with no shipping.
-#[allow(clippy::too_many_arguments)]
 pub fn spawn_worker_thread(
     ep: Endpoint<ColMsg>,
     w: usize,

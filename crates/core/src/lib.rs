@@ -29,6 +29,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// panic-hygiene (DESIGN.md §10): faults surface as typed errors, not panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod codec;
 pub mod config;

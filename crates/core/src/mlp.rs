@@ -18,6 +18,8 @@
 //! [`columnsgd_cluster::Router::meter_only`]-style accounting directly on
 //! [`TrafficStats`].
 
+#![expect(clippy::disallowed_methods, reason = "per-layer timing")]
+
 use columnsgd_cluster::clock::IterationTime;
 use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{NetworkModel, NodeId, SimClock, TrafficStats};
@@ -144,7 +146,7 @@ impl DistributedMlp {
     }
 
     /// Runs training; returns the loss curve over simulated time.
-    #[allow(clippy::needless_range_loop)] // `w` is the worker id
+    #[expect(clippy::needless_range_loop, reason = "`w` is the worker id")]
     pub fn train(&mut self) -> (Curve, SimClock) {
         let mut clock = SimClock::new();
         let mut curve = Curve::new("ColumnSGD-MLP");
@@ -193,11 +195,14 @@ impl DistributedMlp {
                 acts.push(a);
             }
 
-            // lint: allow(panic-hygiene) zs gets one push per layer in the forward loop above and MlpSpec validates depth >= 1, so last() cannot be empty
+            #[expect(
+                clippy::expect_used,
+                reason = "zs gets one push per layer in the forward loop above and MlpSpec validates depth >= 1, so last() cannot be empty"
+            )]
             let loss = mlp::output_loss(zs.last().expect("output layer"), &labels);
 
             // ---- backward -----------------------------------------------
-            // lint: allow(panic-hygiene) same invariant: the forward pass above pushed at least one layer output
+            #[expect(clippy::expect_used, reason = "same invariant as above")]
             let mut delta = mlp::output_delta(zs.last().expect("output layer"), &labels);
             for li in (1..outputs.len()).rev() {
                 let n_prev = outputs[li - 1];

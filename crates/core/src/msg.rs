@@ -279,6 +279,10 @@ impl ColMsg {
 }
 
 impl Wire for ColMsg {
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn wire_size(&self) -> usize {
         match self {
             ColMsg::LoadBlock(b) | ColMsg::ReloadBlock(b) => 1 + b.wire_size(),

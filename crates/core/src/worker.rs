@@ -21,6 +21,8 @@
 //! every reply carries its iteration tag so the master can discard
 //! stragglers' late answers.
 
+#![expect(clippy::disallowed_methods, reason = "per-task compute timing")]
+
 use std::time::Instant;
 
 use columnsgd_cluster::telemetry::{FaultRecord, KernelRecord, ProfScope};
@@ -45,7 +47,7 @@ use crate::pool::WorkerPool;
 /// compute attempts fail, and how. Serializable because the
 /// multi-process backend ships it to worker processes in the stdin
 /// bootstrap line.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerScript {
     /// Iterations whose first attempt throws a task exception.
     pub task_failures: Vec<u64>,
@@ -543,7 +545,14 @@ impl WorkerNode {
 /// the local recorder to the master as telemetry frames; flushes happen
 /// *before* the protocol reply they describe, so a master barrier that saw
 /// the reply has already ingested the matching worker events.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the worker loop carries the full worker bootstrap"
+)]
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn run_worker(
     ep: Endpoint<ColMsg>,
     id: usize,
@@ -585,8 +594,8 @@ pub fn run_worker(
                 batch_size,
                 attempt,
             } => {
+                #[expect(clippy::panic, reason = "injected fault, reported as WorkerPanic")]
                 if script.crashes(id, iteration, attempt) {
-                    // lint: allow(panic-hygiene) injected fault: the guarded spawn converts this panic into a WorkerPanic report, which is the detection path under test
                     panic!("injected worker failure at iteration {iteration} attempt {attempt}");
                 }
                 if batch_size != w.cfg.batch_size {
@@ -833,6 +842,10 @@ pub fn run_worker(
 /// the master at startup, from a peer during migration), compute requests
 /// name explicit partition subsets, and the held set changes over the
 /// worker's lifetime.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn run_worker_dynamic(
     ep: Endpoint<ColMsg>,
     id: usize,
@@ -901,8 +914,8 @@ pub fn run_worker_dynamic(
                 attempt,
                 pids,
             } => {
+                #[expect(clippy::panic, reason = "injected fault, reported as WorkerPanic")]
                 if script.crashes(id, iteration, attempt) {
-                    // lint: allow(panic-hygiene) injected fault: the guarded spawn converts this panic into a WorkerPanic report, which is the detection path under test
                     panic!("injected worker failure at iteration {iteration} attempt {attempt}");
                 }
                 let fail = |reason: &str, compute_s: f64, sample_s: f64| {

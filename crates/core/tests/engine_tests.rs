@@ -851,6 +851,7 @@ fn recovery_reload_is_traced_and_reconciles_with_meter() {
 /// A silent worker (crash scripted mid-run) is detected within the
 /// configured deadline via timeout + probe, not by waiting forever.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "asserts a wall-clock bound")]
 fn timeout_detection_recovers_scripted_crash() {
     let ds = dataset(250, 40, 6);
     let cfg = base_cfg(ModelSpec::Lr)

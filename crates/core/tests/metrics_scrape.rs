@@ -2,6 +2,8 @@
 //! traced engine, train, and scrape the blocking HTTP responder the way
 //! Prometheus would — plus the file-snapshot path tests use in CI.
 
+#![expect(clippy::disallowed_types, reason = "scrapes /metrics like Prometheus")]
+
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 

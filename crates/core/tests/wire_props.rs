@@ -175,8 +175,59 @@ fn all_variants(seed: u64, nrows: usize, stats: Vec<f64>, pids: Vec<usize>) -> V
             epoch: seed % 100,
         },
     ];
-    assert_eq!(msgs.len(), 25, "one instance per ColMsg variant");
     msgs
+}
+
+/// Position of `m`'s variant in declaration order. Wildcard-free on
+/// purpose: a new `ColMsg` variant does not compile here until it gets
+/// an index, and then `all_variants_has_one_sample_per_variant` fails
+/// until `all_variants` carries a sample of it.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+fn variant_index(m: &ColMsg) -> usize {
+    match m {
+        ColMsg::LoadBlock(..) => 0,
+        ColMsg::Workset { .. } => 1,
+        ColMsg::LoadDone { .. } => 2,
+        ColMsg::LoadAck { .. } => 3,
+        ColMsg::ComputeStats { .. } => 4,
+        ColMsg::StatsReply { .. } => 5,
+        ColMsg::Update { .. } => 6,
+        ColMsg::UpdateAck { .. } => 7,
+        ColMsg::Die => 8,
+        ColMsg::ReloadBlock(..) => 9,
+        ColMsg::ReloadDone { .. } => 10,
+        ColMsg::ReloadAck { .. } => 11,
+        ColMsg::FetchModel => 12,
+        ColMsg::ModelReply { .. } => 13,
+        ColMsg::Probe { .. } => 14,
+        ColMsg::ProbeAck { .. } => 15,
+        ColMsg::WorkerPanic { .. } => 16,
+        ColMsg::Shutdown => 17,
+        ColMsg::InstallParams { .. } => 18,
+        ColMsg::ComputeStatsFor { .. } => 19,
+        ColMsg::StatsReplyFor { .. } => 20,
+        ColMsg::ShardRequest { .. } => 21,
+        ColMsg::ShardData { .. } => 22,
+        ColMsg::ShardInstalled { .. } => 23,
+        ColMsg::DropShard { .. } => 24,
+    }
+}
+
+/// Number of `ColMsg` variants: one past the largest `variant_index`.
+const VARIANTS: usize = 25;
+
+/// Every variant has exactly one sample in `all_variants`, so the codec
+/// properties in this file cover the whole protocol.
+#[test]
+fn all_variants_has_one_sample_per_variant() {
+    let mut counts = [0usize; VARIANTS];
+    for m in all_variants(1, 2, vec![0.5], vec![1]) {
+        counts[variant_index(&m)] += 1;
+    }
+    assert_eq!(counts, [1; VARIANTS], "samples per variant index");
 }
 
 fn body_bytes(m: &ColMsg) -> Vec<u8> {
@@ -336,6 +387,7 @@ fn telemetry_event_batch_roundtrips_through_the_frame_codec() {
 /// trace ↔ meter reconciliation the engine asserts cannot be perturbed
 /// by how much telemetry a run ships.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "polls to a wall-clock deadline")]
 fn telemetry_frames_advance_zero_data_plane_meter_bytes() {
     let ids = [NodeId::Master, NodeId::Worker(0)];
     let traffic = TrafficStats::new();

@@ -10,13 +10,12 @@
 use std::collections::VecDeque;
 
 use columnsgd_linalg::{CsrMatrix, SparseVector, Value};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a row block (and of the worksets derived from it).
 pub type BlockId = u64;
 
 /// A row-oriented block: a contiguous group of labelled rows in CSR form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     id: BlockId,
     data: CsrMatrix,

@@ -1,9 +1,7 @@
 //! Dataset statistics and presets (Table II of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Statistics describing a training dataset, mirroring Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetMeta {
     /// Human-readable name (e.g. `"kddb"`).
     pub name: String,
@@ -55,7 +53,7 @@ impl DatasetMeta {
 }
 
 /// The five datasets of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetPreset {
     /// avazu: 40,428,967 instances × 1,000,000 features, 7.4 GB.
     Avazu,

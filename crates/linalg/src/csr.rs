@@ -6,8 +6,6 @@
 //! dispatching beats the naive row-at-a-time scheme in Figure 7: one CSR
 //! object per (block, destination) pair instead of one object per row piece.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FeatureIndex, SparseVector, Value};
 
 /// A CSR matrix whose rows are sparse vectors with *global* column indices.
@@ -17,7 +15,7 @@ use crate::{FeatureIndex, SparseVector, Value};
 /// alongside because every block/workset in this system carries them
 /// (cf. Figure 5's "data organization in one workset": labels + index
 /// pointer + indices + values).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CsrMatrix {
     indptr: Vec<usize>,
     indices: Vec<FeatureIndex>,

@@ -1,7 +1,5 @@
 //! Dense vectors: the representation of (partitions of) model parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{SparseVector, Value};
 
 /// A dense `f64` vector.
@@ -11,7 +9,7 @@ use crate::{SparseVector, Value};
 /// `DenseVector`s. The newtype carries the handful of BLAS-1 style kernels
 /// SGD needs, keeps call sites readable, and gives us one place to meter
 /// wire sizes.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DenseVector(Vec<Value>);
 
 impl DenseVector {

@@ -11,7 +11,7 @@
 //! exclude_prefixes = ["third_party", "crates/lint/fixtures"]
 //! exclude_dirs = ["tests", "benches", "examples", "fixtures", "target"]
 //!
-//! [rules.panic-hygiene]
+//! [rules.lock-order]
 //! severity = "deny"            # deny | warn | off
 //! scope = ["crates/core/src"]  # prefixes where the rule applies (empty = everywhere)
 //! allow_paths = []             # prefixes exempted inside the scope
@@ -106,54 +106,6 @@ impl Default for FilesConfig {
     }
 }
 
-/// A site reference in a protocol spec: `"path"` or `"path::fn_name"`
-/// (workspace-relative, `/`-separated path).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteRef {
-    /// Workspace-relative file path.
-    pub path: String,
-    /// Function to restrict the check to; `None` means the whole file.
-    pub func: Option<String>,
-}
-
-impl SiteRef {
-    /// Parses `"crates/core/src/worker.rs::run_worker"` or a bare path.
-    pub fn parse(s: &str) -> SiteRef {
-        match s.rsplit_once("::") {
-            Some((path, func)) if !func.is_empty() => SiteRef {
-                path: path.to_string(),
-                func: Some(func.to_string()),
-            },
-            _ => SiteRef {
-                path: s.to_string(),
-                func: None,
-            },
-        }
-    }
-}
-
-/// One `[protocol.<Enum>]` section: where the enum is defined and which
-/// sites must cover every variant. Empty site lists mean the check does
-/// not apply to this enum (e.g. `FrameKind` has no `wire_size`).
-#[derive(Debug, Clone, Default)]
-pub struct ProtocolSpec {
-    /// Enum name (`ColMsg`).
-    pub enum_name: String,
-    /// File defining the enum.
-    pub def: String,
-    /// Sites where every variant needs a `wire_size` match arm.
-    pub wire_size: Vec<SiteRef>,
-    /// Sites where every variant needs an encode match arm.
-    pub encode: Vec<SiteRef>,
-    /// Sites where every variant must be constructed (decode coverage is
-    /// mention-based: decoders match on integer tags and build variants
-    /// in arm bodies).
-    pub decode: Vec<SiteRef>,
-    /// Receive loops where every variant needs an explicit handler (or
-    /// log-and-drop) arm; wildcard arms do not count.
-    pub handlers: Vec<SiteRef>,
-}
-
 /// The parsed `lint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
@@ -162,8 +114,6 @@ pub struct Config {
     /// Rule id → its configuration. Rules absent from the map run with
     /// [`RuleConfig::default`] (deny, everywhere).
     pub rules: BTreeMap<String, RuleConfig>,
-    /// `[protocol.<Enum>]` specs for the protocol-conformance rule.
-    pub protocols: Vec<ProtocolSpec>,
 }
 
 impl Config {
@@ -238,33 +188,6 @@ fn apply(cfg: &mut Config, section: &str, key: &str, value: &str) -> Result<(), 
         }
         return Ok(());
     }
-    if let Some(enum_name) = section.strip_prefix("protocol.") {
-        let spec = match cfg.protocols.iter_mut().find(|s| s.enum_name == enum_name) {
-            Some(s) => s,
-            None => {
-                cfg.protocols.push(ProtocolSpec {
-                    enum_name: enum_name.to_string(),
-                    ..ProtocolSpec::default()
-                });
-                cfg.protocols.last_mut().expect("just pushed")
-            }
-        };
-        let sites = |v: &str| -> Result<Vec<SiteRef>, String> {
-            Ok(parse_string_array(v)?
-                .iter()
-                .map(|s| SiteRef::parse(s))
-                .collect())
-        };
-        match key {
-            "def" => spec.def = parse_string(value)?,
-            "wire_size" => spec.wire_size = sites(value)?,
-            "encode" => spec.encode = sites(value)?,
-            "decode" => spec.decode = sites(value)?,
-            "handlers" => spec.handlers = sites(value)?,
-            other => return Err(format!("unknown protocol key {other:?}")),
-        }
-        return Ok(());
-    }
     Err(format!("unknown section [{section}]"))
 }
 
@@ -306,14 +229,14 @@ mod tests {
 include = ["crates"]
 exclude_dirs = ["tests", "benches"]
 
-[rules.panic-hygiene]
+[rules.lock-order]
 severity = "deny"
 scope = [
     "crates/core/src",  # master/worker loops
     "crates/rowsgd/src",
 ]
 
-[rules.metering]
+[rules.atomics-ordering]
 severity = "warn"
 allow_paths = ["crates/cluster/src"]
 "#,
@@ -321,12 +244,12 @@ allow_paths = ["crates/cluster/src"]
         .expect("parse");
         assert_eq!(cfg.files.include, vec!["crates"]);
         assert_eq!(cfg.files.exclude_dirs, vec!["tests", "benches"]);
-        let ph = cfg.rule("panic-hygiene");
+        let ph = cfg.rule("lock-order");
         assert_eq!(ph.severity, Severity::Deny);
         assert_eq!(ph.scope.len(), 2);
         assert!(ph.applies_to("crates/core/src/engine.rs"));
         assert!(!ph.applies_to("crates/bench/src/lib.rs"));
-        let m = cfg.rule("metering");
+        let m = cfg.rule("atomics-ordering");
         assert_eq!(m.severity, Severity::Warn);
         assert!(m.applies_to("crates/core/src/engine.rs"));
         assert!(!m.applies_to("crates/cluster/src/router.rs"));
@@ -338,37 +261,6 @@ allow_paths = ["crates/cluster/src"]
         let r = cfg.rule("anything");
         assert_eq!(r.severity, Severity::Deny);
         assert!(r.applies_to("crates/ml/src/glm.rs"));
-    }
-
-    #[test]
-    fn parses_protocol_sections() {
-        let cfg = Config::parse(
-            r#"
-[protocol.ColMsg]
-def = "crates/core/src/msg.rs"
-wire_size = ["crates/core/src/msg.rs::wire_size"]
-decode = ["crates/core/src/codec.rs::decode_body"]
-handlers = [
-    "crates/core/src/worker.rs::run_worker",
-    "crates/core/src/elastic.rs",
-]
-"#,
-        )
-        .expect("parse");
-        assert_eq!(cfg.protocols.len(), 1);
-        let p = &cfg.protocols[0];
-        assert_eq!(p.enum_name, "ColMsg");
-        assert_eq!(p.def, "crates/core/src/msg.rs");
-        assert_eq!(
-            p.wire_size,
-            vec![SiteRef {
-                path: "crates/core/src/msg.rs".into(),
-                func: Some("wire_size".into())
-            }]
-        );
-        assert!(p.encode.is_empty());
-        assert_eq!(p.handlers[1].func, None);
-        assert_eq!(p.handlers[1].path, "crates/core/src/elastic.rs");
     }
 
     #[test]

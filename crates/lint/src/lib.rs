@@ -1,30 +1,28 @@
-//! `columnsgd-lint` — workspace invariant checker.
+//! `columnsgd-lint` — the workspace's lock analysis.
 //!
 //! A multi-pass, dependency-free analyzer over the workspace's `.rs`
 //! files (excluding `third_party`, tests, benches, examples, and
-//! fixtures):
+//! fixtures), for the invariants clippy cannot express:
 //!
 //! 1. **scan** — lexical token stream per file ([`scan`]);
-//! 2. **symbols** — AST-lite extraction: enums/variants, fns, `match`
-//!    arms, lock declarations/acquisitions, call sites ([`symbols`]);
-//! 3. **per-file rules** — determinism, metering, panic/alloc hygiene,
-//!    atomics ordering ([`rules`]);
-//! 4. **cross-file rules** — protocol-conformance over the wire enums
-//!    ([`protocol`]) and lock-order/blocking-under-lock over the lock
-//!    acquisition graph ([`locks`]).
+//! 2. **symbols** — fns, lock declarations/acquisitions, and call sites
+//!    ([`symbols`]);
+//! 3. **per-file rules** — atomics ordering and the `annotation`
+//!    meta-rule over `// lint: allow` escapes ([`rules`]);
+//! 4. **cross-file rules** — lock-order and blocking-under-lock over the
+//!    lock acquisition graph ([`locks`]).
 //!
-//! Configuration lives in the checked-in `lint.toml`; see DESIGN.md §10
-//! and §15 for the rationale behind each rule.
+//! The other invariants are enforced by rustc and clippy (DESIGN.md §10).
+//! Configuration lives in the checked-in `lint.toml`.
 
 pub mod config;
 pub mod locks;
-pub mod protocol;
 pub mod rules;
 pub mod scan;
 pub mod symbols;
 
 pub use config::{Config, Severity};
-pub use rules::{Finding, UsedAllow, ANNOTATION_RULE, CROSS_FILE_RULE_IDS, RULE_IDS};
+pub use rules::{Finding, UsedAllow, ANNOTATION_RULE, RULE_IDS};
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -235,7 +233,6 @@ pub fn run_lint(root: &Path, config: &Config) -> Result<Report, String> {
     }
 
     // Pass 4: cross-file rules over the full unit set.
-    report.findings.extend(protocol::check(&units, config));
     report.findings.extend(locks::check(&units, config));
 
     report.findings.sort_by(|a, b| {
@@ -316,14 +313,14 @@ mod tests {
             ..Report::default()
         };
         report.findings.push(Finding {
-            rule: "panic-hygiene".into(),
+            rule: "lock-order".into(),
             path: "crates/x/src/lib.rs".into(),
             line: 3,
             message: "boom".into(),
             severity: Severity::Deny,
         });
         report.findings.push(Finding {
-            rule: "metering".into(),
+            rule: "atomics-ordering".into(),
             path: "crates/x/src/lib.rs".into(),
             line: 9,
             message: "raw \"channel\"".into(),
@@ -339,8 +336,8 @@ mod tests {
         assert_eq!(report.warn_count(), 1);
         assert!(report.failed());
         let text = report.render();
-        assert!(text.contains("deny[panic-hygiene] crates/x/src/lib.rs:3: boom"));
-        assert!(text.contains("warn[metering]"));
+        assert!(text.contains("deny[lock-order] crates/x/src/lib.rs:3: boom"));
+        assert!(text.contains("warn[atomics-ordering]"));
         assert!(text.contains("1 deny, 1 warn"));
     }
 

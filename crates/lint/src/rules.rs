@@ -1,60 +1,27 @@
-//! The invariant rules and their token-level matchers.
+//! The per-file rules and their token-level matchers.
 //!
-//! Each rule protects a claim the reproduction makes:
-//!
-//! * `determinism-time` — same-seed runs must be bit-deterministic, so
-//!   ambient entropy (`thread_rng`) and wall-clock reads
-//!   (`Instant::now`, `SystemTime::now`) are confined to the allowlisted
-//!   metering sites where they only feed *measurements*, never training
-//!   state.
-//! * `determinism-iteration` — modules that emit canonical telemetry or
-//!   JSONL lines must not iterate `HashMap`/`HashSet` (randomized order
-//!   would make golden files flaky); they use `BTreeMap` or sort first.
-//! * `metering` — every cross-worker byte must flow through the metered
-//!   `Network`, so raw channel machinery (`crossbeam`, `mpsc`) and raw
-//!   socket machinery (`TcpStream`, `TcpListener`, `UdpSocket` — the
-//!   multi-process transport's substrate) are only constructed inside
-//!   `cluster`.
-//! * `panic-hygiene` — worker/master message loops and recovery paths
-//!   must surface failures as typed `TrainError`s, not panics, or fault
-//!   detection degrades to a hang.
-//! * `alloc-hygiene` — allocator plumbing (`std::alloc`, `GlobalAlloc`,
-//!   `#[global_allocator]`) is confined to the telemetry profiling
-//!   module: a second global allocator (or raw alloc calls that bypass
-//!   the counting hooks) would silently corrupt the per-phase
-//!   allocation accounting.
+//! * `atomics-ordering` — `Ordering::Relaxed` needs a written
+//!   happens-before argument, so it is flagged outside the allowlist and
+//!   future lock-free code gets reviewed deliberately.
 //! * `annotation` — `// lint: allow(rule) reason` escapes must be
-//!   well-formed (named rule, non-empty reason) so the suppression
+//!   well-formed (known rule, non-empty reason) so the suppression
 //!   summary stays auditable.
+//!
+//! Determinism, metering, panic, and allocator hygiene are clippy's
+//! (DESIGN.md §10), so an annotation naming one of them is unknown here.
 
 use crate::config::{Config, Severity};
+use crate::locks::{BLOCKING_RULE, ORDER_RULE};
 use crate::scan::{Allow, Scanned};
 
-/// Stable list of per-file rule ids (excluding the `annotation`
-/// meta-rule, which is always on, and the cross-file rules below).
-pub const RULE_IDS: [&str; 6] = [
-    "determinism-time",
-    "determinism-iteration",
-    "metering",
-    "panic-hygiene",
-    "alloc-hygiene",
-    "atomics-ordering",
-];
-
-/// Cross-file rule ids (symbol-layer passes in [`crate::protocol`] and
-/// [`crate::locks`]); listed here so `lint: allow` annotations naming
-/// them are recognized.
-pub const CROSS_FILE_RULE_IDS: [&str; 3] =
-    ["protocol-conformance", "lock-order", "blocking-under-lock"];
+/// Rule id for relaxed atomics.
+pub const ATOMICS_RULE: &str = "atomics-ordering";
 
 /// Meta-rule id for malformed/unknown `lint: allow` annotations.
 pub const ANNOTATION_RULE: &str = "annotation";
 
-/// Whether `rule` is a known rule id (per-file, cross-file, or the
-/// annotation meta-rule).
-pub fn is_known_rule(rule: &str) -> bool {
-    rule == ANNOTATION_RULE || RULE_IDS.contains(&rule) || CROSS_FILE_RULE_IDS.contains(&rule)
-}
+/// Every rule id a `lint: allow` annotation may name.
+pub const RULE_IDS: [&str; 4] = [ATOMICS_RULE, ORDER_RULE, BLOCKING_RULE, ANNOTATION_RULE];
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,13 +47,7 @@ pub struct UsedAllow {
     pub allow: Allow,
 }
 
-/// A raw (pre-suppression) match produced by a matcher.
-struct RawMatch {
-    line: u32,
-    message: String,
-}
-
-/// Runs every configured rule over one scanned file.
+/// Runs the per-file rules over one scanned file.
 pub fn check_file(
     path: &str,
     scanned: &Scanned,
@@ -94,22 +55,29 @@ pub fn check_file(
 ) -> (Vec<Finding>, Vec<UsedAllow>) {
     let mut findings = Vec::new();
 
-    for rule in RULE_IDS {
-        let rc = config.rule(rule);
-        if !rc.applies_to(path) {
-            continue;
-        }
-        for m in match_rule(rule, scanned) {
-            if scanned.is_allowed(rule, m.line) {
-                continue;
+    // Qualified form only (`Ordering::Relaxed`); the workspace never
+    // imports `Relaxed` bare, and a bare-identifier match would collide
+    // with ordinary bindings.
+    let atomics = config.rule(ATOMICS_RULE);
+    if atomics.applies_to(path) {
+        for w in scanned.tokens.windows(4) {
+            let line = w[0].line;
+            if w.iter()
+                .map(|t| t.text.as_str())
+                .eq(["Ordering", ":", ":", "Relaxed"])
+                && !scanned.is_allowed(ATOMICS_RULE, line)
+            {
+                findings.push(Finding {
+                    rule: ATOMICS_RULE.to_string(),
+                    path: path.to_string(),
+                    line,
+                    message: "`Ordering::Relaxed` outside the allowlist; relaxed atomics need a \
+                              written happens-before argument — use `Acquire`/`Release` (or \
+                              `SeqCst`) unless the access is a pure statistical counter"
+                        .to_string(),
+                    severity: atomics.severity,
+                });
             }
-            findings.push(Finding {
-                rule: rule.to_string(),
-                path: path.to_string(),
-                line: m.line,
-                message: m.message,
-                severity: rc.severity,
-            });
         }
     }
 
@@ -129,7 +97,7 @@ pub fn check_file(
             });
         }
         for a in &scanned.allows {
-            if !is_known_rule(&a.rule) {
+            if !RULE_IDS.contains(&a.rule.as_str()) {
                 findings.push(Finding {
                     rule: ANNOTATION_RULE.to_string(),
                     path: path.to_string(),
@@ -152,169 +120,6 @@ pub fn check_file(
     (findings, used)
 }
 
-fn match_rule(rule: &str, scanned: &Scanned) -> Vec<RawMatch> {
-    match rule {
-        "determinism-time" => determinism_time(scanned),
-        "determinism-iteration" => determinism_iteration(scanned),
-        "metering" => metering(scanned),
-        "panic-hygiene" => panic_hygiene(scanned),
-        "alloc-hygiene" => alloc_hygiene(scanned),
-        "atomics-ordering" => atomics_ordering(scanned),
-        other => unreachable!("unknown rule id {other}"),
-    }
-}
-
-/// Positions where the token texts `pat` appear consecutively.
-fn find_seq(scanned: &Scanned, pat: &[&str]) -> Vec<u32> {
-    let toks = &scanned.tokens;
-    let mut out = Vec::new();
-    if pat.is_empty() || toks.len() < pat.len() {
-        return out;
-    }
-    for i in 0..=(toks.len() - pat.len()) {
-        if pat.iter().enumerate().all(|(j, p)| toks[i + j].text == *p) {
-            out.push(toks[i].line);
-        }
-    }
-    out
-}
-
-fn determinism_time(scanned: &Scanned) -> Vec<RawMatch> {
-    let mut out = Vec::new();
-    for line in find_seq(scanned, &["thread_rng"]) {
-        out.push(RawMatch {
-            line,
-            message: "`thread_rng` introduces nondeterminism; seed a `ChaCha` generator from \
-                      the run config instead"
-                .to_string(),
-        });
-    }
-    for (pat, name) in [
-        (
-            ["Instant", ":", ":", "now"],
-            "`Instant::now()` outside an allowlisted metering site",
-        ),
-        (
-            ["SystemTime", ":", ":", "now"],
-            "`SystemTime::now()` outside an allowlisted metering site",
-        ),
-    ] {
-        for line in find_seq(scanned, &pat) {
-            out.push(RawMatch {
-                line,
-                message: format!("{name}; timing belongs in the metering layer"),
-            });
-        }
-    }
-    out
-}
-
-fn determinism_iteration(scanned: &Scanned) -> Vec<RawMatch> {
-    let mut out = Vec::new();
-    for ty in ["HashMap", "HashSet"] {
-        for line in find_seq(scanned, &[ty]) {
-            out.push(RawMatch {
-                line,
-                message: format!(
-                    "`{ty}` in a canonical-output module; use `BTreeMap`/`BTreeSet` or an \
-                     explicitly sorted iteration so emitted lines are order-stable"
-                ),
-            });
-        }
-    }
-    out
-}
-
-fn metering(scanned: &Scanned) -> Vec<RawMatch> {
-    let mut out = Vec::new();
-    for ident in ["crossbeam", "crossbeam_channel", "mpsc"] {
-        for line in find_seq(scanned, &[ident]) {
-            out.push(RawMatch {
-                line,
-                message: format!(
-                    "raw channel machinery (`{ident}`) outside `cluster`; cross-worker traffic \
-                     must flow through the metered `Network`/`Router`"
-                ),
-            });
-        }
-    }
-    // The multi-process transport moves bytes over real sockets; the same
-    // bypass argument applies — a raw socket outside `cluster` would
-    // carry unmetered cross-worker traffic.
-    for ident in ["TcpStream", "TcpListener", "UdpSocket"] {
-        for line in find_seq(scanned, &[ident]) {
-            out.push(RawMatch {
-                line,
-                message: format!(
-                    "raw socket machinery (`{ident}`) outside `cluster`; cross-worker traffic \
-                     must flow through the metered transport behind `Router`"
-                ),
-            });
-        }
-    }
-    out
-}
-
-fn panic_hygiene(scanned: &Scanned) -> Vec<RawMatch> {
-    let mut out = Vec::new();
-    for (pat, what) in [
-        (&[".", "unwrap", "("][..], "`.unwrap()`"),
-        (&[".", "expect", "("][..], "`.expect()`"),
-        (&["panic", "!"][..], "`panic!`"),
-        (&["unreachable", "!"][..], "`unreachable!`"),
-        (&["todo", "!"][..], "`todo!`"),
-        (&["unimplemented", "!"][..], "`unimplemented!`"),
-    ] {
-        for line in find_seq(scanned, pat) {
-            out.push(RawMatch {
-                line,
-                message: format!(
-                    "{what} in a master/worker or recovery path; return a typed `TrainError` \
-                     (or annotate with `// lint: allow(panic-hygiene) <reason>`)"
-                ),
-            });
-        }
-    }
-    out
-}
-
-fn alloc_hygiene(scanned: &Scanned) -> Vec<RawMatch> {
-    let mut out = Vec::new();
-    for (pat, what) in [
-        (&["std", ":", ":", "alloc"][..], "`std::alloc`"),
-        (&["GlobalAlloc"][..], "`GlobalAlloc`"),
-        (&["global_allocator"][..], "`#[global_allocator]`"),
-    ] {
-        for line in find_seq(scanned, pat) {
-            out.push(RawMatch {
-                line,
-                message: format!(
-                    "{what} outside the telemetry profiling module; allocator plumbing \
-                     bypasses the per-phase counting hooks and belongs in \
-                     `crates/telemetry/src/profile.rs`"
-                ),
-            });
-        }
-    }
-    out
-}
-
-fn atomics_ordering(scanned: &Scanned) -> Vec<RawMatch> {
-    // Qualified form only (`Ordering::Relaxed`); the workspace never
-    // imports `Relaxed` bare, and a bare-identifier match would collide
-    // with ordinary bindings.
-    find_seq(scanned, &["Ordering", ":", ":", "Relaxed"])
-        .into_iter()
-        .map(|line| RawMatch {
-            line,
-            message: "`Ordering::Relaxed` outside the allowlist; relaxed atomics need a \
-                      written happens-before argument — use `Acquire`/`Release` (or \
-                      `SeqCst`) unless the access is a pure statistical counter"
-                .to_string(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,93 +136,31 @@ mod tests {
     }
 
     #[test]
-    fn detects_time_sources() {
-        let fired = rules_fired("let t = Instant::now();\nlet r = thread_rng();");
-        assert!(fired.contains(&("determinism-time".into(), 1)));
-        assert!(fired.contains(&("determinism-time".into(), 2)));
-    }
-
-    #[test]
-    fn detects_hash_iteration_types() {
-        let fired = rules_fired("use std::collections::HashMap;\nlet s: HashSet<u32>;");
-        assert!(fired.contains(&("determinism-iteration".into(), 1)));
-        assert!(fired.contains(&("determinism-iteration".into(), 2)));
-    }
-
-    #[test]
-    fn detects_raw_channels() {
-        let fired = rules_fired("use crossbeam::channel::unbounded;\nuse std::sync::mpsc;");
-        assert!(fired.contains(&("metering".into(), 1)));
-        assert!(fired.contains(&("metering".into(), 2)));
-    }
-
-    #[test]
-    fn detects_panics_and_unwraps() {
-        let fired = rules_fired("x.unwrap();\ny.expect(\"m\");\npanic!(\"boom\");\nunreachable!()");
-        let rules: Vec<u32> = fired
-            .iter()
-            .filter(|(r, _)| r == "panic-hygiene")
-            .map(|(_, l)| *l)
-            .collect();
-        assert_eq!(rules, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn detects_allocator_plumbing() {
-        let fired = rules_fired(
-            "use std::alloc::{GlobalAlloc, Layout, System};\n#[global_allocator]\nstatic A: X = X;",
-        );
-        let lines: Vec<u32> = fired
-            .iter()
-            .filter(|(r, _)| r == "alloc-hygiene")
-            .map(|(_, l)| *l)
-            .collect();
-        assert!(
-            lines.contains(&1),
-            "std::alloc and GlobalAlloc fire: {fired:?}"
-        );
-        assert!(lines.contains(&2), "global_allocator fires: {fired:?}");
-        // Ordinary allocation APIs never fire.
-        assert!(rules_fired("let v = Vec::with_capacity(8); let b = Box::new(1);").is_empty());
-    }
-
-    #[test]
     fn detects_relaxed_atomics_only_when_qualified() {
         let fired = rules_fired(
             "let x = FLAG.load(Ordering::Relaxed);\nlet y = FLAG.load(Ordering::SeqCst);\nlet z = std::cmp::Ordering::Less;",
         );
-        let lines: Vec<u32> = fired
-            .iter()
-            .filter(|(r, _)| r == "atomics-ordering")
-            .map(|(_, l)| *l)
-            .collect();
-        assert_eq!(lines, vec![1], "{fired:?}");
+        assert_eq!(fired, vec![("atomics-ordering".into(), 1)]);
     }
 
     #[test]
-    fn cross_file_rules_are_known_to_annotations() {
+    fn lock_rules_are_known_to_annotations() {
         let fired = rules_fired(
-            "// lint: allow(lock-order) writer is a leaf lock\nlet x = 1;\n// lint: allow(protocol-conformance) deliberate gap\nlet y = 2;",
+            "// lint: allow(lock-order) writer is a leaf lock\nlet x = 1;\n// lint: allow(blocking-under-lock) the writer IS the serialization point\nlet y = 2;",
         );
         assert!(
-            fired.iter().all(|(r, _)| r != "annotation"),
-            "cross-file rule ids must not be flagged as unknown: {fired:?}"
+            fired.is_empty(),
+            "lock rule ids must not be flagged as unknown: {fired:?}"
         );
-    }
-
-    #[test]
-    fn unwrap_or_does_not_fire() {
-        let fired = rules_fired("let v = x.unwrap_or(0).max(y.unwrap_or_default());");
-        assert!(fired.is_empty());
     }
 
     #[test]
     fn allow_suppresses_and_is_summarized() {
-        let s = scan("// lint: allow(panic-hygiene) invariant: queue drained above\nx.unwrap();");
+        let s = scan("// lint: allow(atomics-ordering) pure counter\nX.load(Ordering::Relaxed);");
         let (findings, used) = check_file("crates/x/src/lib.rs", &s, &bare_config());
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(used.len(), 1);
-        assert_eq!(used[0].allow.rule, "panic-hygiene");
+        assert_eq!(used[0].allow.rule, "atomics-ordering");
     }
 
     #[test]
@@ -428,20 +171,20 @@ mod tests {
 
     #[test]
     fn malformed_allow_is_a_finding() {
-        let fired = rules_fired("// lint: allow(panic-hygiene)\nx.unwrap();");
-        // Malformed annotation fires, and it does NOT suppress the unwrap.
+        let fired = rules_fired("// lint: allow(atomics-ordering)\nX.load(Ordering::Relaxed);");
+        // Malformed annotation fires, and it does NOT suppress the match.
         assert!(fired.contains(&("annotation".into(), 1)));
-        assert!(fired.contains(&("panic-hygiene".into(), 2)));
+        assert!(fired.contains(&("atomics-ordering".into(), 2)));
     }
 
     #[test]
     fn scope_and_allow_paths_gate_rules() {
         let cfg = Config::parse(
-            "[rules.panic-hygiene]\nseverity = \"deny\"\nscope = [\"crates/core/src\"]\n\
+            "[rules.atomics-ordering]\nseverity = \"deny\"\nscope = [\"crates/core/src\"]\n\
              allow_paths = [\"crates/core/src/testkit.rs\"]",
         )
         .expect("config");
-        let s = scan("x.unwrap();");
+        let s = scan("X.load(Ordering::Relaxed);");
         let (in_scope, _) = check_file("crates/core/src/engine.rs", &s, &cfg);
         assert_eq!(in_scope.len(), 1);
         let (out_of_scope, _) = check_file("crates/bench/src/lib.rs", &s, &cfg);

@@ -1,8 +1,6 @@
 //! Training-curve bookkeeping and evaluation metrics shared by engines
 //! and benches.
 
-use serde::{Deserialize, Serialize};
-
 /// Area under the ROC curve for binary ±1 labels and real-valued scores.
 ///
 /// The metric of record for CTR prediction (the avazu/criteo/WX
@@ -45,7 +43,7 @@ pub fn auc(labels: &[f64], scores: &[f64]) -> f64 {
 }
 
 /// One point on a convergence curve: simulated time, iteration, loss.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Iteration index (0-based).
     pub iteration: u64,
@@ -56,7 +54,7 @@ pub struct CurvePoint {
 }
 
 /// A named convergence curve (one line in a Figure 8-style plot).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Curve {
     /// Legend label (e.g. `"ColumnSGD"`).
     pub label: String,

@@ -309,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // `c` is a weight coordinate id
+    #[expect(clippy::needless_range_loop, reason = "`c` is a weight coordinate id")]
     fn backward_matches_finite_differences() {
         // 2-layer net: 5 → 4 → 1, one example; check every weight's
         // gradient numerically.

@@ -11,7 +11,6 @@ use crate::params::ParamSet;
 use crate::spec::GradSink;
 
 /// Partial statistics: `out[i*C + c] = <w_c_local, x_i_local>`.
-#[allow(clippy::needless_range_loop)]
 pub fn partial_stats(classes: usize, params: &ParamSet, batch: &CsrMatrix, out: &mut [f64]) {
     debug_assert_eq!(out.len(), batch.nrows() * classes);
     for c in 0..classes {
@@ -79,7 +78,10 @@ pub fn accumulate_grad(
 
 /// [`accumulate_grad`] with a caller-owned softmax buffer, so the hot path
 /// allocates nothing (`probs` is resized to `classes` and reused).
-#[allow(clippy::needless_range_loop)] // `c` is a class id, not a position
+#[expect(
+    clippy::needless_range_loop,
+    reason = "`c` is a class id, not a position"
+)]
 pub fn accumulate_grad_with(
     classes: usize,
     batch: &CsrMatrix,

@@ -15,10 +15,9 @@
 //! decay), which is what MXNet's sparse Adam does as well.
 
 use columnsgd_linalg::DenseVector;
-use serde::{Deserialize, Serialize};
 
 /// Which optimizer to run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerKind {
     /// Plain SGD: `w -= η·g`.
     Sgd,
@@ -55,7 +54,7 @@ impl OptimizerKind {
 }
 
 /// Per-block optimizer state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum BlockState {
     Sgd,
     AdaGrad { acc: DenseVector },
@@ -63,7 +62,7 @@ enum BlockState {
 }
 
 /// Optimizer state covering one [`crate::ParamSet`]'s blocks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerState {
     kind: OptimizerKind,
     blocks: Vec<BlockState>,

@@ -1,14 +1,12 @@
 //! Regularization terms Ω(w) (Equation 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// The regularization term added to the loss.
 ///
 /// Applied *lazily*: the subgradient `∇Ω` is added only for coordinates the
 /// current mini-batch touches, the standard sparse-training compromise
 /// (touching all m coordinates per iteration would defeat sparse updates;
 /// the paper's workloads use sparse data where this is the norm).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Regularizer {
     /// No regularization.
     #[default]

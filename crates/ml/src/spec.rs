@@ -20,7 +20,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use columnsgd_linalg::{CsrMatrix, FeatureIndex, SparseVector};
 use columnsgd_telemetry::ProfScope;
-use serde::{Deserialize, Serialize};
 
 use crate::fm;
 use crate::glm::{self, GlmKind};
@@ -29,7 +28,7 @@ use crate::optimizer::OptimizerState;
 use crate::params::{ParamSet, SparseGrad, UpdateParams};
 
 /// Which ML model to train.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// Logistic regression (binary, labels ±1).
     Lr,
@@ -220,7 +219,10 @@ impl ModelSpec {
     /// *order* differs (arrival order here, sorted order there), which
     /// cannot change any coordinate's result. The kernel-equivalence
     /// proptest suite pins this down for GLM, MLR, and FM.
-    #[allow(clippy::too_many_arguments)] // mirrors update_from_stats + scratch
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors update_from_stats + scratch"
+    )]
     pub fn update_from_stats_with(
         &self,
         params: &mut ParamSet,

@@ -26,6 +26,10 @@
 //! rowsgd-train data/a9a --variant mxnet --workers 8 --iters 500
 //! ```
 
+// panic-hygiene (DESIGN.md §10): faults surface as typed errors, not panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::fs::File;
 use std::io::BufReader;
 use std::process::exit;

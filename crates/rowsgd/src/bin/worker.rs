@@ -12,6 +12,10 @@
 //! master's deadline converts the silence into a typed error — so there
 //! is no panic-forwarding machinery here.
 
+// panic-hygiene (DESIGN.md §10): faults surface as typed errors, not panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::io::BufRead;
 use std::process::exit;
 

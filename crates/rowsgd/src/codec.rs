@@ -32,6 +32,10 @@ const T_MODEL_REPLY: u8 = 12;
 const T_SHUTDOWN: u8 = 13;
 
 impl WireCodec for RowMsg {
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
         match self {
             RowMsg::LoadRows(rows) => {

@@ -2,6 +2,8 @@
 //! loop, and prices every iteration with the same network model used for
 //! ColumnSGD.
 
+#![expect(clippy::disallowed_methods, reason = "phase timing and deadlines")]
+
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -169,7 +171,6 @@ impl RowSgdEngine {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn clustered(
         dataset: &Dataset,
         k: usize,
@@ -340,7 +341,7 @@ impl RowSgdEngine {
     /// Ships each worker its horizontal partition and prices the load:
     /// rows move row-by-row through Spark's pipeline (one object per data
     /// point), optionally followed by a global shuffle.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(clippy::needless_range_loop, reason = "`w` is a worker id")]
     fn load(&mut self, dataset: &Dataset, repartition: bool) -> Result<(), TrainError> {
         self.traffic.reset();
         // Keep the trace reconciled with the meter across the reset.
@@ -743,8 +744,10 @@ impl RowSgdEngine {
     }
 
     /// One parameter-server iteration (dense or sparse pull).
-    // Indexed loops: `p`/`w` are node ids of the simulated server plane.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`p`/`w` are node ids of the simulated server plane"
+    )]
     fn iteration_ps(
         &mut self,
         t: u64,

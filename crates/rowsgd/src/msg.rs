@@ -142,6 +142,10 @@ impl Wire for RowMsg {
         self.name()
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn wire_size(&self) -> usize {
         match self {
             RowMsg::LoadRows(rows) => 1 + rows.wire_size(),

@@ -5,6 +5,8 @@
 //! iteration (MLlib / PS variants) or maintains a local model replica and
 //! participates in a worker-to-worker ring AllReduce (MLlib*).
 
+#![expect(clippy::disallowed_methods, reason = "compute timing and deadlines")]
+
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -304,6 +306,10 @@ impl RowWorker {
 /// clone of the master's recorder in-process, or a worker-local recorder
 /// in a `rowsgd-worker` process, so divergence evidence is captured even
 /// when the reply carrying it never reaches the master intact.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn run_row_worker(
     ep: Endpoint<RowMsg>,
     id: usize,
@@ -387,13 +393,15 @@ pub fn run_row_worker(
                             compute_s,
                         }
                     }
-                    _ => RowMsg::GradReplySparse {
-                        iteration,
-                        worker: id,
-                        grad,
-                        loss,
-                        compute_s,
-                    },
+                    RowSgdVariant::MLlibStar | RowSgdVariant::PsDense | RowSgdVariant::PsSparse => {
+                        RowMsg::GradReplySparse {
+                            iteration,
+                            worker: id,
+                            grad,
+                            loss,
+                            compute_s,
+                        }
+                    }
                 };
                 let sent = if is_ps {
                     // PS push: bytes are metered per server link by the

@@ -120,8 +120,48 @@ fn all_variants(seed: u64, nrows: usize, data: Vec<f64>) -> Vec<RowMsg> {
         },
         RowMsg::Shutdown,
     ];
-    assert_eq!(msgs.len(), 14, "one instance per RowMsg variant");
     msgs
+}
+
+/// Position of `m`'s variant in declaration order. Wildcard-free on
+/// purpose: a new `RowMsg` variant does not compile here until it gets
+/// an index, and then `all_variants_has_one_sample_per_variant` fails
+/// until `all_variants` carries a sample of it.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+fn variant_index(m: &RowMsg) -> usize {
+    match m {
+        RowMsg::LoadRows(..) => 0,
+        RowMsg::LoadAck { .. } => 1,
+        RowMsg::FullModelGrad { .. } => 2,
+        RowMsg::RequestIndices { .. } => 3,
+        RowMsg::IndicesReply { .. } => 4,
+        RowMsg::SparseModelGrad { .. } => 5,
+        RowMsg::GradReplySparse { .. } => 6,
+        RowMsg::GradReplyDense { .. } => 7,
+        RowMsg::LocalStep { .. } => 8,
+        RowMsg::RingChunk { .. } => 9,
+        RowMsg::StepDone { .. } => 10,
+        RowMsg::FetchModel => 11,
+        RowMsg::ModelReply { .. } => 12,
+        RowMsg::Shutdown => 13,
+    }
+}
+
+/// Number of `RowMsg` variants: one past the largest `variant_index`.
+const VARIANTS: usize = 14;
+
+/// Every variant has exactly one sample in `all_variants`, so the codec
+/// properties in this file cover the whole protocol.
+#[test]
+fn all_variants_has_one_sample_per_variant() {
+    let mut counts = [0usize; VARIANTS];
+    for m in all_variants(1, 2, vec![0.5]) {
+        counts[variant_index(&m)] += 1;
+    }
+    assert_eq!(counts, [1; VARIANTS], "samples per variant index");
 }
 
 fn body_bytes(m: &RowMsg) -> Vec<u8> {

@@ -15,6 +15,8 @@
 //! the same rendering to a file so tests and scripts can assert on it
 //! without a scrape.
 
+#![expect(clippy::disallowed_types, reason = "/metrics serves no training bytes")]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};

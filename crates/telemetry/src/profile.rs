@@ -29,6 +29,9 @@
 //! zero impact on ordinary builds); without it the allocation columns of
 //! every record are zero.
 
+#![expect(clippy::disallowed_methods, reason = "the profiler measures time")]
+#![expect(clippy::disallowed_types, reason = "the counting allocator lives here")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
