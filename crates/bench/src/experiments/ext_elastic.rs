@@ -3,7 +3,7 @@
 //! gauge-driven scale policy.
 //!
 //! The paper's cluster is static: K workers for the whole run (§V). This
-//! extension runs the same training loop on the elastic engine and shows
+//! extension runs the same training loop on elastic run shapes and shows
 //! the tentpole claim from three angles:
 //!
 //! 1. **membership changes are invisible to the trained bits** — per-
@@ -21,10 +21,12 @@
 //!    replica, the race winner caps the iteration near the straggler-free
 //!    cost while the loss bits stay exactly those of the canonical cover.
 
-use columnsgd::cluster::{ChaosSpec, FailurePlan, Monitor, MonitorConfig, NetworkModel};
+use columnsgd::cluster::{
+    ChaosSpec, ClusterConfig, FailurePlan, Monitor, MonitorConfig, NetworkModel, Recorder,
+};
 use columnsgd::core::{
-    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent,
-    ElasticOutcome, ScalePolicy,
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent, ScalePolicy,
+    TrainOutcome,
 };
 use columnsgd::data::{Dataset, DatasetPreset};
 use columnsgd::ml::ModelSpec;
@@ -46,7 +48,7 @@ fn cfg() -> ColumnSgdConfig {
         .with_seed(87)
 }
 
-fn losses(out: &ElasticOutcome) -> Vec<f64> {
+fn losses(out: &TrainOutcome) -> Vec<f64> {
     out.curve.points.iter().map(|p| p.loss).collect()
 }
 
@@ -60,7 +62,7 @@ fn sensitive_monitor() -> Monitor {
 
 struct Row {
     scenario: &'static str,
-    out: ElasticOutcome,
+    out: TrainOutcome,
     baseline: usize, // row index whose mean time is the slowdown reference
 }
 
@@ -70,8 +72,16 @@ fn run(
     net: NetworkModel,
     plan: FailurePlan,
     monitor: Option<Monitor>,
-) -> ElasticOutcome {
-    let mut e = ElasticEngine::new(ds, ecfg, net, plan).expect("elastic engine");
+) -> TrainOutcome {
+    let blocks = ds
+        .into_block_queue(ecfg.base.block_size)
+        .iter()
+        .cloned()
+        .collect();
+    let (recorder, cluster) = (Recorder::disabled(), ClusterConfig::in_proc());
+    let mut e =
+        ColumnSgdEngine::from_blocks(blocks, ds.dimension(), ecfg, net, plan, recorder, &cluster)
+            .expect("engine");
     if let Some(m) = monitor {
         e.attach_monitor(m);
     }
@@ -93,7 +103,7 @@ pub fn sweep(scale: f64) -> Report {
     let canon: Vec<f64> = stat_out.curve.points.iter().map(|p| p.loss).collect();
 
     let mut rows: Vec<Row> = Vec::new();
-    // 0: full cluster, no events — the elastic engine as the static one.
+    // 0: full cluster, no events — the fixed shape, i.e. the static run.
     rows.push(Row {
         scenario: "static 4/4",
         out: run(

@@ -26,7 +26,7 @@ pub struct StragglerSpec {
     /// Pin the straggler to one worker for the whole run instead of the
     /// paper's random per-iteration pick. Sliding-window detectors (the
     /// telemetry monitor's straggler alarm) need a *persistent* victim to
-    /// converge on; the elastic engine's speculative execution uses this.
+    /// converge on; elastic speculative execution uses this.
     pub pinned: Option<usize>,
 }
 

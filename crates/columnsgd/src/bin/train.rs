@@ -25,9 +25,9 @@
 //!   --metrics-snapshot PATH              write the final Prometheus text
 //!                                        exposition to PATH
 //!
-//! Elastic mode (dynamic membership on the elastic engine):
+//! Elastic membership (any of these makes the cluster shape elastic;
+//! in-process transport only):
 //!
-//!   --elastic                            run on the elastic engine
 //!   --elastic-initial N                  start with N of K slots    [K]
 //!   --join T:W / --leave T:W / --crash T:W
 //!                                        schedule worker W to join /
@@ -71,7 +71,6 @@ struct Args {
     profile: bool,
     metrics_addr: Option<String>,
     metrics_snapshot: Option<String>,
-    elastic: bool,
     elastic_initial: Option<usize>,
     schedule: Vec<ElasticEvent>,
     replicate: bool,
@@ -86,7 +85,7 @@ fn usage() -> ! {
          [--transport inproc|tcp] [--worker-bin PATH] [--model-out PATH] \
          [--trace-out PATH] [--metrics-out PATH] [--profile] \
          [--metrics-addr ADDR] [--metrics-snapshot PATH] \
-         [--elastic] [--elastic-initial N] [--join T:W] [--leave T:W] [--crash T:W] \
+         [--elastic-initial N] [--join T:W] [--leave T:W] [--crash T:W] \
          [--replicate] [--speculate]"
     );
     exit(2)
@@ -137,7 +136,6 @@ fn parse_args() -> Args {
         profile: false,
         metrics_addr: None,
         metrics_snapshot: None,
-        elastic: false,
         elastic_initial: None,
         schedule: Vec::new(),
         replicate: false,
@@ -186,7 +184,6 @@ fn parse_args() -> Args {
             "--profile" => args.profile = true,
             "--metrics-addr" => args.metrics_addr = Some(value("--metrics-addr")),
             "--metrics-snapshot" => args.metrics_snapshot = Some(value("--metrics-snapshot")),
-            "--elastic" => args.elastic = true,
             "--elastic-initial" => {
                 args.elastic_initial = Some(
                     value("--elastic-initial")
@@ -315,46 +312,51 @@ fn main() {
             });
     }
 
-    // Any elastic option implies elastic mode.
-    let elastic = args.elastic
-        || args.elastic_initial.is_some()
-        || !args.schedule.is_empty()
-        || args.replicate
-        || args.speculate;
-    let (model, mean_s, run_hex, diagnostics) = if elastic {
-        let initial = args.elastic_initial.unwrap_or(args.workers);
-        let mut ecfg = ElasticConfig::new(config, args.workers, initial);
-        if args.replicate {
-            ecfg = ecfg.with_replication();
-        }
-        if args.speculate {
-            ecfg = ecfg.with_speculation();
-        }
-        if !args.schedule.is_empty() {
-            ecfg = ecfg.with_schedule(args.schedule.clone());
-        }
-        let mut engine = ElasticEngine::new_clustered(
-            &dataset,
-            ecfg,
-            NetworkModel::CLUSTER1,
-            FailurePlan::none(),
-            recorder.clone(),
-            &args.cluster,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("engine setup failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        engine.attach_monitor(monitor);
-        if metrics.is_some() {
-            eprintln!("note: the elastic engine does not feed the metrics registry yet");
-        }
-        let outcome = engine.train().unwrap_or_else(|e| {
-            eprintln!("training failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
+    let mut shape = ElasticConfig::new(
+        config,
+        args.workers,
+        args.elastic_initial.unwrap_or(args.workers),
+    )
+    .with_schedule(args.schedule.clone());
+    if args.replicate {
+        shape = shape.with_replication();
+    }
+    if args.speculate {
+        shape = shape.with_speculation();
+    }
+    let elastic = !shape.is_fixed();
+    if args.cluster.transport == TransportKind::Tcp {
+        eprintln!("transport: loopback tcp, one worker process per worker");
+    }
+    let blocks = dataset
+        .into_block_queue(config.block_size)
+        .iter()
+        .cloned()
+        .collect();
+    let mut engine = ColumnSgdEngine::from_blocks(
+        blocks,
+        dataset.dimension(),
+        shape,
+        NetworkModel::CLUSTER1,
+        FailurePlan::none(),
+        recorder.clone(),
+        &args.cluster,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("engine setup failed: {e}");
+        eprintln!("hint: {}", e.advice());
+        exit(e.exit_code())
+    });
+    engine.attach_monitor(monitor);
+    if let Some(m) = &metrics {
+        engine.attach_metrics(m.clone());
+    }
+    let outcome = engine.train().unwrap_or_else(|e| {
+        eprintln!("training failed: {e}");
+        eprintln!("hint: {}", e.advice());
+        exit(e.exit_code())
+    });
+    if elastic {
         println!(
             "membership: {} events, {} shard migrations ({:.1} KiB over the wire), \
              speculation {} wins / {} losses",
@@ -370,56 +372,15 @@ fn main() {
                 ev.epoch, ev.worker, ev.action, ev.moves
             );
         }
-        let model = engine.collect_model().unwrap_or_else(|e| {
-            eprintln!("model collection failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        (
-            model,
-            outcome.mean_iteration_s(args.iters as usize),
-            outcome.run.run_id_hex(),
-            outcome.diagnostics,
-        )
-    } else {
-        if args.cluster.transport == TransportKind::Tcp {
-            eprintln!("transport: loopback tcp, one worker process per worker");
-        }
-        let mut engine = ColumnSgdEngine::new_clustered(
-            &dataset,
-            args.workers,
-            config,
-            NetworkModel::CLUSTER1,
-            FailurePlan::none(),
-            recorder.clone(),
-            &args.cluster,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("engine setup failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        engine.attach_monitor(monitor);
-        if let Some(m) = &metrics {
-            engine.attach_metrics(m.clone());
-        }
-        let outcome = engine.train().unwrap_or_else(|e| {
-            eprintln!("training failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        let model = engine.collect_model().unwrap_or_else(|e| {
-            eprintln!("model collection failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        (
-            model,
-            outcome.mean_iteration_s(args.iters as usize),
-            outcome.run.run_id_hex(),
-            outcome.diagnostics,
-        )
-    };
+    }
+    let model = engine.collect_model().unwrap_or_else(|e| {
+        eprintln!("model collection failed: {e}");
+        eprintln!("hint: {}", e.advice());
+        exit(e.exit_code())
+    });
+    let mean_s = outcome.mean_iteration_s(args.iters as usize);
+    let run_hex = outcome.run.run_id_hex();
+    let diagnostics = outcome.diagnostics;
 
     if let Some(path) = &args.metrics_out {
         eprintln!("metrics streamed to {path}");

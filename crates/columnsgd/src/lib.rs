@@ -55,7 +55,7 @@ pub mod prelude {
     };
     pub use columnsgd_core::{
         ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, ElasticAction, ElasticConfig,
-        ElasticEngine, ElasticEvent, FaultKind, RecoveryEvent, ScalePolicy, TrainError,
+        ElasticEvent, FaultKind, RecoveryEvent, ScalePolicy, TrainError,
     };
     pub use columnsgd_data::{ColumnPartitioner, Dataset, DatasetPreset, SynthConfig};
     pub use columnsgd_linalg::{CsrMatrix, DenseVector, SparseVector};

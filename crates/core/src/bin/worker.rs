@@ -1,11 +1,11 @@
 //! `columnsgd-worker`: one ColumnSGD worker as an OS process.
 //!
 //! Spawned by the engine's TCP backend, one process per worker. The
-//! bootstrap — hub address, worker id, cluster shape, full training
-//! config, and this worker's scripted-failure schedule — arrives as a
-//! single hex-armored line on stdin (see `columnsgd_core::host::BootSpec`;
-//! the workspace has no serialization framework, so the encoding is
-//! hand-rolled).
+//! bootstrap — hub address, worker id, cluster shape and partition
+//! placement, full training config, and this worker's scripted-failure
+//! schedule — arrives as a single hex-armored line on stdin (see
+//! `columnsgd_core::host::BootSpec`; the workspace has no serialization
+//! framework, so the encoding is hand-rolled).
 //!
 //! The process connects to the master's `TcpHub`, runs the ordinary
 //! `run_worker` mailbox loop, and exits when the master shuts the run
@@ -53,6 +53,7 @@ fn main() {
         cfg,
         script,
         traced,
+        placement,
     } = boot;
 
     let hub: std::net::SocketAddr = match addr.parse() {
@@ -90,7 +91,7 @@ fn main() {
     // Same contract as the engine's guarded threads: a panic anywhere in
     // the worker loop becomes a WorkerPanic to the master, then we die.
     let result = catch_unwind(AssertUnwindSafe(move || {
-        run_worker(ep, worker, k, dim, cfg, script, recorder, ship)
+        run_worker(ep, worker, placement, dim, cfg, script, recorder, ship)
     }));
     if let Err(payload) = result {
         let info = panic_message(payload.as_ref());

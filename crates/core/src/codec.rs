@@ -235,12 +235,11 @@ const T_PROBE_ACK: u8 = 15;
 const T_WORKER_PANIC: u8 = 16;
 const T_SHUTDOWN: u8 = 17;
 const T_INSTALL_PARAMS: u8 = 18;
-const T_COMPUTE_STATS_FOR: u8 = 19;
-const T_STATS_REPLY_FOR: u8 = 20;
-const T_SHARD_REQUEST: u8 = 21;
-const T_SHARD_DATA: u8 = 22;
-const T_SHARD_INSTALLED: u8 = 23;
-const T_DROP_SHARD: u8 = 24;
+const T_STATS_REPLY_FOR: u8 = 19;
+const T_SHARD_REQUEST: u8 = 20;
+const T_SHARD_DATA: u8 = 21;
+const T_SHARD_INSTALLED: u8 = 22;
+const T_DROP_SHARD: u8 = 23;
 
 impl WireCodec for ColMsg {
     #[deny(
@@ -272,12 +271,13 @@ impl WireCodec for ColMsg {
                 iteration,
                 batch_size,
                 attempt,
+                pids,
             } => {
                 put_u8(out, T_COMPUTE_STATS);
                 put_u64(out, *iteration);
                 put_usize(out, *batch_size);
                 put_u64(out, *attempt);
-                Ok(())
+                pids.encode_body(out)
             }
             ColMsg::StatsReply {
                 iteration,
@@ -369,18 +369,6 @@ impl WireCodec for ColMsg {
                 put_u8(out, T_INSTALL_PARAMS);
                 put_parts(out, parts)
             }
-            ColMsg::ComputeStatsFor {
-                iteration,
-                batch_size,
-                attempt,
-                pids,
-            } => {
-                put_u8(out, T_COMPUTE_STATS_FOR);
-                put_u64(out, *iteration);
-                put_usize(out, *batch_size);
-                put_u64(out, *attempt);
-                pids.encode_body(out)
-            }
             ColMsg::StatsReplyFor {
                 iteration,
                 worker,
@@ -457,6 +445,7 @@ impl WireCodec for ColMsg {
                 iteration: r.u64("ComputeStats iteration")?,
                 batch_size: r.usize("ComputeStats batch_size")?,
                 attempt: r.u64("ComputeStats attempt")?,
+                pids: WireCodec::decode_body(r)?,
             },
             T_STATS_REPLY => ColMsg::StatsReply {
                 iteration: r.u64("StatsReply iteration")?,
@@ -503,12 +492,6 @@ impl WireCodec for ColMsg {
             T_SHUTDOWN => ColMsg::Shutdown,
             T_INSTALL_PARAMS => ColMsg::InstallParams {
                 parts: read_parts(r)?,
-            },
-            T_COMPUTE_STATS_FOR => ColMsg::ComputeStatsFor {
-                iteration: r.u64("ComputeStatsFor iteration")?,
-                batch_size: r.usize("ComputeStatsFor batch_size")?,
-                attempt: r.u64("ComputeStatsFor attempt")?,
-                pids: WireCodec::decode_body(r)?,
             },
             T_STATS_REPLY_FOR => ColMsg::StatsReplyFor {
                 iteration: r.u64("StatsReplyFor iteration")?,
@@ -625,6 +608,7 @@ mod tests {
                 iteration: 9,
                 batch_size: 64,
                 attempt: 1,
+                pids: vec![1, 5, 9],
             },
             ColMsg::StatsReply {
                 iteration: 9,
@@ -666,12 +650,6 @@ mod tests {
             ColMsg::InstallParams {
                 parts: vec![(5, sample_params(6, &[1; 5]))],
             },
-            ColMsg::ComputeStatsFor {
-                iteration: 3,
-                batch_size: 32,
-                attempt: 0,
-                pids: vec![1, 5, 9],
-            },
             ColMsg::StatsReplyFor {
                 iteration: 3,
                 worker: 1,
@@ -699,7 +677,7 @@ mod tests {
             },
             ColMsg::DropShard { pid: 2, epoch: 8 },
         ];
-        assert_eq!(msgs.len(), 25, "one sample per ColMsg variant");
+        assert_eq!(msgs.len(), 24, "one sample per ColMsg variant");
         for m in &msgs {
             roundtrip(m);
         }

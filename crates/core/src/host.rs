@@ -33,8 +33,7 @@ use std::time::Duration;
 
 use columnsgd_cluster::codec::{put_bool, put_f64, put_str, put_u64, put_u64s, put_u8, put_usize};
 use columnsgd_cluster::{
-    spawn_guarded, ChaosSpec, CodecError, Endpoint, FailurePlan, NodeId, Recorder, Router, TcpHub,
-    WireReader,
+    spawn_guarded, ChaosSpec, CodecError, Endpoint, NodeId, Recorder, Router, TcpHub, WireReader,
 };
 use columnsgd_ml::{ModelSpec, OptimizerKind, Regularizer, UpdateParams};
 
@@ -64,9 +63,12 @@ pub struct BootSpec {
     /// The worker installs a live [`Recorder`] either way so its
     /// NaN/divergence guards still fire (the events just stay local).
     pub traced: bool,
+    /// The run's partition placement: `placement[pid]` lists the workers
+    /// holding partition `pid` (see [`run_worker`]).
+    pub placement: Vec<Vec<usize>>,
 }
 
-const BOOT_VERSION: u8 = 2;
+const BOOT_VERSION: u8 = 3;
 
 /// Encodes a [`ModelSpec`] (tag + payload, variant-declaration order).
 pub fn put_model(out: &mut Vec<u8>, m: &ModelSpec) {
@@ -235,6 +237,11 @@ impl BootSpec {
         put_u64s(&mut out, &self.script.crashes);
         put_chaos(&mut out, &self.script.chaos);
         put_bool(&mut out, self.traced);
+        put_usize(&mut out, self.placement.len());
+        for holders in &self.placement {
+            let holders: Vec<u64> = holders.iter().map(|&w| w as u64).collect();
+            put_u64s(&mut out, &holders);
+        }
         out
     }
 
@@ -284,6 +291,11 @@ impl BootSpec {
             chaos: read_chaos(&mut r)?,
         };
         let traced = r.bool("traced")?;
+        let mut placement = Vec::new();
+        for _ in 0..r.usize("placement partitions")? {
+            let holders = r.u64s("placement holders")?;
+            placement.push(holders.into_iter().map(|w| w as usize).collect());
+        }
         r.finish("bootstrap")?;
         Ok(BootSpec {
             addr,
@@ -293,6 +305,7 @@ impl BootSpec {
             cfg,
             script,
             traced,
+            placement,
         })
     }
 
@@ -359,8 +372,12 @@ pub fn locate_worker_bin(name: &str) -> Result<PathBuf, String> {
 pub enum WorkerHost {
     /// Guarded threads over in-process channels.
     Threads {
-        /// One join handle per worker (`None` once joined).
+        /// One join handle per worker slot (`None` until started, and
+        /// again once joined).
         handles: Vec<Option<JoinHandle<()>>>,
+        /// Registered mailboxes of slots not running yet (spare capacity
+        /// an elastic join starts on, or a respawn's fresh mailbox).
+        spares: Vec<Option<Endpoint<ColMsg>>>,
     },
     /// One OS process per worker over loopback TCP.
     Processes {
@@ -398,91 +415,98 @@ pub fn spawn_boot_process(worker_bin: &PathBuf, line: &str) -> Result<Child, Str
 }
 
 impl WorkerHost {
-    /// Restarts worker `w` at iteration `t` after a crash.
-    ///
-    /// Reregistration happens on the shared [`Router`] in both backends so
-    /// abandoned queued messages are drained and metered as drops at the
-    /// same site. Threads get a fresh endpoint + guarded thread; processes
-    /// get a fresh child that must reconnect to the hub within `deadline`.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "a respawn carries the full worker bootstrap"
-    )]
-    pub fn respawn(
-        &mut self,
-        router: &Router<ColMsg>,
-        t: u64,
-        w: usize,
-        k: usize,
-        dim: u64,
-        cfg: &ColumnSgdConfig,
-        plan: &FailurePlan,
-        deadline: Duration,
-    ) -> Result<(), TrainError> {
-        let ep = router.reregister(NodeId::Worker(w), t);
+    /// Starts worker `boot.worker`: a guarded thread on its registered
+    /// mailbox, or a child process told to dial the hub (which it does
+    /// asynchronously — see [`WorkerHost::await_ready`]).
+    pub fn start(&mut self, router: &Router<ColMsg>, mut boot: BootSpec) -> Result<(), String> {
+        let w = boot.worker;
         match self {
-            WorkerHost::Threads { handles } => {
-                let Some(ep) = ep else {
-                    return Err(TrainError::Internal(
-                        "thread-hosted worker lost its local mailbox on reregister".to_string(),
-                    ));
-                };
-                if let Some(h) = handles[w].take() {
-                    let _ = h.join();
-                }
-                handles[w] = Some(spawn_worker_thread(
-                    ep,
-                    w,
-                    k,
-                    dim,
-                    *cfg,
-                    plan,
-                    router.recorder().clone(),
-                ));
-                Ok(())
+            WorkerHost::Threads { handles, spares } => {
+                let ep = spares
+                    .get_mut(w)
+                    .and_then(Option::take)
+                    .ok_or_else(|| format!("worker slot {w} has no free mailbox to start on"))?;
+                handles[w] = Some(spawn_worker_thread(ep, boot, router.recorder().clone()));
             }
             WorkerHost::Processes {
                 hub,
                 children,
                 worker_bin,
             } => {
-                debug_assert!(ep.is_none(), "TCP workers are not hub-local");
+                boot.addr = hub.addr().to_string();
+                children[w] = Some(spawn_worker_process(worker_bin, &boot)?);
+            }
+        }
+        Ok(())
+    }
+
+    /// Waits until every started worker process in `workers` has connected
+    /// to the hub (threads are ready as soon as they are spawned).
+    pub fn await_ready(&self, workers: &[usize], deadline: Duration) -> Result<(), String> {
+        match self {
+            WorkerHost::Threads { .. } => Ok(()),
+            WorkerHost::Processes { hub, .. } => {
+                let ids: Vec<NodeId> = workers.iter().map(|&w| NodeId::Worker(w)).collect();
+                hub.await_workers(&ids, deadline)
+            }
+        }
+    }
+
+    /// Reaps worker `w` after it exited (or must go): joins its thread, or
+    /// kills and waits for its process.
+    pub fn stop(&mut self, w: usize) {
+        match self {
+            WorkerHost::Threads { handles, .. } => {
+                if let Some(h) = handles[w].take() {
+                    let _ = h.join();
+                }
+            }
+            WorkerHost::Processes { children, .. } => {
                 if let Some(mut c) = children[w].take() {
                     let _ = c.kill();
                     let _ = c.wait();
                 }
-                let boot = BootSpec {
-                    addr: hub.addr().to_string(),
-                    worker: w,
-                    k,
-                    dim,
-                    cfg: *cfg,
-                    script: WorkerScript::from_plan(plan, w),
-                    traced: router.recorder().is_enabled(),
-                };
-                let child = spawn_worker_process(worker_bin, &boot).map_err(|detail| {
-                    TrainError::WorkerLost {
-                        worker: w,
-                        iteration: t,
-                        detail,
-                    }
-                })?;
-                children[w] = Some(child);
-                hub.await_workers(&[NodeId::Worker(w)], deadline)
-                    .map_err(|detail| TrainError::WorkerLost {
-                        worker: w,
-                        iteration: t,
-                        detail,
-                    })
             }
         }
+    }
+
+    /// Restarts worker `boot.worker` at iteration `t` after a crash.
+    ///
+    /// Reregistration happens on the shared [`Router`] in both backends so
+    /// abandoned queued messages are drained and metered as drops at the
+    /// same site. Threads get a fresh endpoint + guarded thread; processes
+    /// get a fresh child that must reconnect to the hub within `deadline`.
+    pub fn respawn(
+        &mut self,
+        router: &Router<ColMsg>,
+        t: u64,
+        boot: BootSpec,
+        deadline: Duration,
+    ) -> Result<(), TrainError> {
+        let w = boot.worker;
+        let lost = |detail| TrainError::WorkerLost {
+            worker: w,
+            iteration: t,
+            detail,
+        };
+        let ep = router.reregister(NodeId::Worker(w), t);
+        self.stop(w);
+        if let WorkerHost::Threads { spares, .. } = self {
+            spares[w] = Some(ep.ok_or_else(|| {
+                TrainError::Internal(
+                    "thread-hosted worker lost its local mailbox on reregister".to_string(),
+                )
+            })?);
+        }
+        self.start(router, boot).map_err(lost)?;
+        self.await_ready(&[w], deadline).map_err(lost)
     }
 
     /// Tears the backend down after Shutdown messages have been sent:
     /// joins threads, or severs hub connections and reaps children.
     pub fn shutdown(&mut self) {
         match self {
-            WorkerHost::Threads { handles } => {
+            WorkerHost::Threads { handles, .. } => {
                 for h in handles.iter_mut() {
                     if let Some(h) = h.take() {
                         let _ = h.join();
@@ -501,25 +525,33 @@ impl WorkerHost {
     }
 }
 
-/// Spawns worker `w` as a guarded thread on endpoint `ep` (the in-process
-/// backend). Panics unwind into a [`ColMsg::WorkerPanic`] to the master.
+/// Spawns worker `boot.worker` as a guarded thread on endpoint `ep` (the
+/// in-process backend). Panics unwind into a [`ColMsg::WorkerPanic`] to
+/// the master.
 ///
 /// The thread shares the master's `recorder`, so worker-side kernel and
 /// guard records land directly in the merged trace with no shipping.
 pub fn spawn_worker_thread(
     ep: Endpoint<ColMsg>,
-    w: usize,
-    k: usize,
-    dim: u64,
-    cfg: ColumnSgdConfig,
-    plan: &FailurePlan,
+    boot: BootSpec,
     recorder: Recorder,
 ) -> JoinHandle<()> {
-    let script = WorkerScript::from_plan(plan, w);
+    let w = boot.worker;
     spawn_guarded(
         format!("colsgd-worker{w}"),
         ep,
-        move |ep| run_worker(ep, w, k, dim, cfg, script, recorder, None),
+        move |ep| {
+            run_worker(
+                ep,
+                w,
+                boot.placement,
+                boot.dim,
+                boot.cfg,
+                boot.script,
+                recorder,
+                None,
+            );
+        },
         move |info| ColMsg::WorkerPanic { worker: w, info },
     )
 }
@@ -527,7 +559,7 @@ pub fn spawn_worker_thread(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use columnsgd_cluster::FailureEvent;
+    use columnsgd_cluster::{FailureEvent, FailurePlan};
 
     fn full_cfg() -> ColumnSgdConfig {
         ColumnSgdConfig {
@@ -584,6 +616,7 @@ mod tests {
             cfg: full_cfg(),
             script: WorkerScript::from_plan(&plan, 1),
             traced: true,
+            placement: vec![vec![0, 1], vec![0, 1], vec![2, 3], vec![2, 3]],
         };
         let back = BootSpec::from_hex_line(&boot.to_hex_line()).expect("roundtrip");
         assert_eq!(back.addr, boot.addr);
@@ -595,6 +628,7 @@ mod tests {
         assert_eq!(back.script.crashes, vec![4]);
         assert_eq!(back.script.chaos, plan.chaos);
         assert!(back.traced);
+        assert_eq!(back.placement, boot.placement);
     }
 
     #[test]
@@ -607,6 +641,7 @@ mod tests {
             cfg: ColumnSgdConfig::new(ModelSpec::Lr),
             script: WorkerScript::default(),
             traced: false,
+            placement: vec![vec![0]],
         };
         let mut line = boot.to_hex_line();
         line.pop();

@@ -20,10 +20,15 @@
 //! * [`msg`]: the wire protocol between master and workers,
 //! * [`worker`]: the worker node — workset storage, two-phase-index batch
 //!   sampling, statistics computation, local model updates, S-backup
-//!   replica groups,
-//! * [`engine`]: the master/driver — block-based column dispatch (§IV-A),
-//!   the BSP training loop, straggler recovery via backup computation
-//!   (§IV-B), and detection-based recovery from the failures of §X,
+//!   replica groups, shard migration,
+//! * [`engine`]: the one master/driver ([`ColumnSgdEngine`]) — block-based
+//!   column dispatch (§IV-A), the BSP training loop over per-superstep
+//!   task lists, straggler recovery via backup computation (§IV-B), and
+//!   detection-based recovery from the failures of §X,
+//! * [`elastic`]: the run shape ([`ElasticConfig`]; the paper's static
+//!   cluster is its fixed shape) and the membership machinery elastic
+//!   shapes add — join/leave schedules, shard migration, speculative
+//!   backup execution, and the scale policy,
 //! * [`error`]: typed training errors ([`TrainError`]) and the
 //!   recovery-event log ([`RecoveryEvent`]).
 
@@ -45,9 +50,7 @@ pub mod pool;
 pub mod worker;
 
 pub use config::{ColumnSgdConfig, PartitionScheme};
-pub use elastic::{
-    ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent, ElasticOutcome, ScalePolicy,
-};
+pub use elastic::{ElasticAction, ElasticConfig, ElasticEvent, ScalePolicy};
 pub use engine::{ColumnSgdEngine, LoadReport, TrainOutcome, PER_OBJECT_S};
 pub use error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
 pub use pool::WorkerPool;

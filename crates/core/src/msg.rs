@@ -41,7 +41,9 @@ pub enum ColMsg {
         layout: Vec<(BlockId, usize)>,
     },
     /// Master → worker: run `computeStatistics` for this iteration
-    /// (Algorithm 3 line 5).
+    /// (Algorithm 3 line 5) over the named partitions — a worker's own
+    /// partition, its S-backup group (§IV-B), or a straggler's partition
+    /// it holds as a warm replica (speculation).
     ComputeStats {
         /// Iteration number (doubles as the shared sampling seed input).
         iteration: u64,
@@ -51,21 +53,24 @@ pub enum ColMsg {
         /// detected failure). Injection scripts key off it so a retried
         /// task is not doomed to fail forever.
         attempt: u64,
+        /// Partitions to compute; intersected with what the worker holds.
+        pids: Vec<usize>,
     },
-    /// Worker → master: partial statistics (Algorithm 3 step 2).
+    /// Worker → master: a statistics reply without a partition list.
+    /// The engine does not send it — every task is answered with
+    /// [`ColMsg::StatsReplyFor`] — and it stays, field for field, only
+    /// because the benchmark's codec layer (`perfbench/src/layers.rs`)
+    /// builds one.
     StatsReply {
         /// Iteration these statistics belong to.
         iteration: u64,
         /// Reporting worker.
         worker: usize,
-        /// Partial statistics, length `B × stats_width` (the group
-        /// aggregate when the worker holds backup partitions).
+        /// Partial statistics, length `B × stats_width`.
         partial: Vec<f64>,
         /// Measured local compute seconds.
         compute_s: f64,
-        /// Measured batch sampling/assembly seconds — a telemetry-visible
-        /// *subset* of `compute_s` (the batch is drawn inside the timed
-        /// statistics task).
+        /// Measured batch sampling/assembly seconds.
         sample_s: f64,
         /// The task threw (fault-injection); statistics are absent.
         task_failed: bool,
@@ -146,34 +151,24 @@ pub enum ColMsg {
         /// `(partition id, parameters)` to install.
         parts: Vec<(usize, ParamSet)>,
     },
-    /// Master → worker: run `computeStatistics` over an explicit partition
-    /// subset (elastic engine). The primary request names the worker's own
-    /// primaries; a speculative duplicate names a straggler's primaries
-    /// that this worker holds as backups.
-    ComputeStatsFor {
-        /// Iteration number (shared sampling seed input).
-        iteration: u64,
-        /// Global batch size B.
-        batch_size: usize,
-        /// Attempt number (0 = original, >0 = re-issue or speculation).
-        attempt: u64,
-        /// Partitions to compute; intersected with what the worker holds.
-        pids: Vec<usize>,
-    },
-    /// Worker → master: partial statistics for an explicit partition set
-    /// (elastic engine; mirrors [`ColMsg::StatsReply`]).
+    /// Worker → master: partial statistics (Algorithm 3 step 2) for the
+    /// partitions of one [`ColMsg::ComputeStats`] task.
     StatsReplyFor {
         /// Iteration these statistics belong to.
         iteration: u64,
         /// Reporting worker.
         worker: usize,
-        /// Partitions actually covered (requested ∩ held, in pid order).
+        /// Partitions covered (requested ∩ held, in pid order); a failed
+        /// task echoes the requested set.
         pids: Vec<usize>,
-        /// Partial statistics summed over `pids`.
+        /// Partial statistics summed over `pids`, length
+        /// `B × stats_width`.
         partial: Vec<f64>,
         /// Measured local compute seconds.
         compute_s: f64,
-        /// Measured batch sampling/assembly seconds.
+        /// Measured batch sampling/assembly seconds — a telemetry-visible
+        /// *subset* of `compute_s` (the batch is drawn inside the timed
+        /// statistics task).
         sample_s: f64,
         /// The task threw (fault-injection); statistics are absent.
         task_failed: bool,
@@ -219,20 +214,11 @@ pub enum ColMsg {
 }
 
 impl ColMsg {
-    /// Analytic wire size of a [`ColMsg::StatsReply`] carrying `stats_len`
-    /// statistics scalars — equal to `wire_size()` of the materialized
-    /// message, so the pricing path never has to construct (or clone the
-    /// payload of) a throwaway reply.
-    pub fn stats_reply_wire_size(stats_len: usize) -> usize {
-        // tag + iteration + worker + compute_s + sample_s + task_failed
-        // + Vec<f64>.
-        1 + 8 + 8 + 8 + 8 + 1 + (8 + 8 * stats_len)
-    }
-
     /// Analytic wire size of a [`ColMsg::StatsReplyFor`] naming `npids`
     /// partitions and carrying `stats_len` statistics scalars — equal to
-    /// `wire_size()` of the materialized message (elastic pricing path).
-    pub fn stats_reply_for_wire_size(npids: usize, stats_len: usize) -> usize {
+    /// `wire_size()` of the materialized message, so the pricing path
+    /// never has to construct (or clone the payload of) a throwaway reply.
+    pub fn stats_reply_wire_size(npids: usize, stats_len: usize) -> usize {
         // tag + iteration + worker + compute_s + sample_s + task_failed
         // + Vec<usize> pids + Vec<f64>.
         1 + 8 + 8 + 8 + 8 + 1 + (8 + 8 * npids) + (8 + 8 * stats_len)
@@ -255,6 +241,7 @@ impl ColMsg {
             ColMsg::LoadAck { .. } => "LoadAck",
             ColMsg::ComputeStats { .. } => "ComputeStats",
             ColMsg::StatsReply { .. } => "StatsReply",
+            ColMsg::StatsReplyFor { .. } => "StatsReplyFor",
             ColMsg::Update { .. } => "Update",
             ColMsg::UpdateAck { .. } => "UpdateAck",
             ColMsg::Die => "Die",
@@ -268,8 +255,6 @@ impl ColMsg {
             ColMsg::WorkerPanic { .. } => "WorkerPanic",
             ColMsg::Shutdown => "Shutdown",
             ColMsg::InstallParams { .. } => "InstallParams",
-            ColMsg::ComputeStatsFor { .. } => "ComputeStatsFor",
-            ColMsg::StatsReplyFor { .. } => "StatsReplyFor",
             ColMsg::ShardRequest { .. } => "ShardRequest",
             ColMsg::ShardData { .. } => "ShardData",
             ColMsg::ShardInstalled { .. } => "ShardInstalled",
@@ -289,8 +274,11 @@ impl Wire for ColMsg {
             ColMsg::Workset { ws, .. } => 1 + 8 + ws.wire_size(),
             ColMsg::LoadDone { .. } | ColMsg::ReloadDone { .. } => 1 + 8,
             ColMsg::LoadAck { layout, .. } => 1 + 8 + 8 + 16 * layout.len(),
-            ColMsg::ComputeStats { .. } => 1 + 8 + 8 + 8,
+            ColMsg::ComputeStats { pids, .. } => 1 + 8 + 8 + 8 + (8 + 8 * pids.len()),
             ColMsg::StatsReply { partial, .. } => 1 + 8 + 8 + 8 + 8 + 1 + partial.wire_size(),
+            ColMsg::StatsReplyFor { pids, partial, .. } => {
+                1 + 8 + 8 + 8 + 8 + 1 + (8 + 8 * pids.len()) + partial.wire_size()
+            }
             ColMsg::Update { stats, .. } => 1 + 8 + stats.wire_size(),
             ColMsg::UpdateAck { .. } => 1 + 8 + 8 + 8,
             ColMsg::Die | ColMsg::Shutdown | ColMsg::FetchModel => 1,
@@ -303,10 +291,6 @@ impl Wire for ColMsg {
             ColMsg::WorkerPanic { info, .. } => 1 + 8 + info.wire_size(),
             ColMsg::InstallParams { parts } => {
                 1 + 8 + parts.iter().map(|(_, p)| 8 + p.wire_size()).sum::<usize>()
-            }
-            ColMsg::ComputeStatsFor { pids, .. } => 1 + 8 + 8 + 8 + (8 + 8 * pids.len()),
-            ColMsg::StatsReplyFor { pids, partial, .. } => {
-                1 + 8 + 8 + 8 + 8 + 1 + (8 + 8 * pids.len()) + partial.wire_size()
             }
             ColMsg::ShardRequest { .. } => 1 + 8 + 8 + 8,
             ColMsg::ShardData {
@@ -355,19 +339,20 @@ mod tests {
 
     #[test]
     fn analytic_sizes_match_serialized_sizes() {
-        for stats_len in [0usize, 1, 10, 1_000, 123_457] {
-            let reply = ColMsg::StatsReply {
+        for (npids, stats_len) in [(1usize, 0usize), (1, 1), (2, 10), (1, 1_000), (16, 123_457)] {
+            let reply = ColMsg::StatsReplyFor {
                 iteration: 7,
                 worker: 3,
+                pids: vec![2; npids],
                 partial: vec![1.5; stats_len],
                 compute_s: 0.25,
                 sample_s: 0.05,
                 task_failed: false,
             };
             assert_eq!(
-                ColMsg::stats_reply_wire_size(stats_len),
+                ColMsg::stats_reply_wire_size(npids, stats_len),
                 reply.wire_size(),
-                "StatsReply, stats_len={stats_len}"
+                "StatsReplyFor, npids={npids}, stats_len={stats_len}"
             );
             let update = ColMsg::Update {
                 iteration: 7,
@@ -382,26 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_elastic_reply_size_matches_serialized_size() {
-        for (npids, stats_len) in [(1usize, 0usize), (1, 1_000), (7, 10), (16, 123_457)] {
-            let reply = ColMsg::StatsReplyFor {
-                iteration: 7,
-                worker: 3,
-                pids: vec![2; npids],
-                partial: vec![1.5; stats_len],
-                compute_s: 0.25,
-                sample_s: 0.05,
-                task_failed: false,
-            };
-            assert_eq!(
-                ColMsg::stats_reply_for_wire_size(npids, stats_len),
-                reply.wire_size(),
-                "StatsReplyFor, npids={npids}, stats_len={stats_len}"
-            );
-        }
-    }
-
-    #[test]
     fn control_messages_are_tiny() {
         assert!(ColMsg::Shutdown.wire_size() < 8);
         assert!(ColMsg::Die.wire_size() < 8);
@@ -409,10 +374,11 @@ mod tests {
             (ColMsg::ComputeStats {
                 iteration: 9,
                 batch_size: 1000,
-                attempt: 0
+                attempt: 0,
+                pids: vec![3],
             })
             .wire_size()
-                < 32
+                < 48
         );
         assert!(ColMsg::Probe { iteration: 9 }.wire_size() < 16);
         assert!(
@@ -441,7 +407,7 @@ mod tests {
 
     #[test]
     fn elastic_messages_follow_wire_conventions() {
-        let m = ColMsg::ComputeStatsFor {
+        let m = ColMsg::ComputeStats {
             iteration: 3,
             batch_size: 64,
             attempt: 0,

@@ -2,12 +2,16 @@
 //!
 //! A worker owns one or more *partitions*: a column-partitioned slice of
 //! the training data (a [`WorksetStore`]), the collocated model partition,
-//! and its optimizer state. Without backup computation a worker owns
+//! and its optimizer state. The run's initial *placement* (partition →
+//! holders) decides which: without backup computation a worker owns
 //! exactly one partition; with S-backup it owns the S+1 partitions of its
-//! replica group (§IV-B, Figure 6).
+//! replica group (§IV-B, Figure 6); in an elastic run it owns its primary
+//! partitions plus any warm replicas, and the held set changes as shards
+//! migrate in ([`ColMsg::ShardData`]) and out ([`ColMsg::DropShard`]).
 //!
-//! The worker runs a mailbox loop ([`run_worker`]) on its own OS thread and
-//! communicates with the master exclusively through [`ColMsg`] messages.
+//! The worker runs a mailbox loop ([`run_worker`]) on its own OS thread (or
+//! process) and communicates with the master exclusively through [`ColMsg`]
+//! messages.
 //!
 //! # Fault injection and resilience
 //!
@@ -165,6 +169,9 @@ pub struct WorkerNode {
     cfg: ColumnSgdConfig,
     part: ColumnPartitioner,
     dim: u64,
+    /// The run's initial placement: `placement[pid]` lists the workers a
+    /// split block's workset for `pid` is shipped to (§IV-A step 3).
+    placement: Vec<Vec<usize>>,
     partitions: Vec<Partition>,
     received_worksets: usize,
     /// Batch-cache key: the `(iteration, batch_size)` whose batches are
@@ -184,11 +191,13 @@ pub struct WorkerNode {
 }
 
 impl WorkerNode {
-    fn new(id: usize, k: usize, dim: u64, cfg: ColumnSgdConfig) -> Self {
-        let part = cfg.partitioner(k, dim);
-        let partitions = cfg
-            .partitions_of(id)
-            .into_iter()
+    /// Worker `id` of a run whose logical partitions are placed by
+    /// `placement` (one holder list per partition): it holds, initially
+    /// empty, every partition naming it as a holder.
+    fn new(id: usize, placement: Vec<Vec<usize>>, dim: u64, cfg: ColumnSgdConfig) -> Self {
+        let part = cfg.partitioner(placement.len(), dim);
+        let partitions = (0..placement.len())
+            .filter(|&pid| placement[pid].contains(&id))
             .map(|pid| Partition::new(pid, &cfg, &part, dim))
             .collect();
         Self {
@@ -196,25 +205,8 @@ impl WorkerNode {
             cfg,
             part,
             dim,
+            placement,
             partitions,
-            received_worksets: 0,
-            cached_batch: None,
-            addrs: Vec::new(),
-            pool: WorkerPool::new(cfg.threads_per_worker),
-            applied_iteration: None,
-        }
-    }
-
-    /// An elastic worker: partitioned over `parts_total` logical partitions
-    /// but holding nothing until shards arrive as [`ColMsg::ShardData`].
-    fn new_dynamic(id: usize, parts_total: usize, dim: u64, cfg: ColumnSgdConfig) -> Self {
-        let part = cfg.partitioner(parts_total, dim);
-        Self {
-            id,
-            cfg,
-            part,
-            dim,
-            partitions: Vec::new(),
             received_worksets: 0,
             cached_batch: None,
             addrs: Vec::new(),
@@ -237,12 +229,12 @@ impl WorkerNode {
         self.partitions.first().is_some_and(|p| p.index.is_some())
     }
 
-    /// Splits a block and dispatches each workset to the replicas of its
+    /// Splits a block and dispatches each workset to the holders of its
     /// partition (§IV-A step 3). Self-deliveries are inserted directly.
     fn dispatch_block(&mut self, ep: &Endpoint<ColMsg>, block: &Block) {
         let worksets = split_block(block, &self.part);
         for (pid, ws) in worksets.into_iter().enumerate() {
-            for replica in self.cfg.replicas_of(pid) {
+            for replica in self.placement[pid].clone() {
                 if replica == self.id {
                     self.accept_workset(pid, ws.clone());
                 } else if let Err(e) = ep.send(
@@ -336,25 +328,42 @@ impl WorkerNode {
         Ok(())
     }
 
-    /// `computeStatistics` (Algorithm 3 lines 14-16): samples the batch via
-    /// the shared two-phase index and returns the summed partial statistics
-    /// of every held partition (the group aggregate under backup).
+    /// `computeStatistics` (Algorithm 3 lines 14-16) over the requested
+    /// partitions: samples the batch via the shared two-phase index and
+    /// returns `(covered pids, partial)` — the statistics summed over every
+    /// requested partition this worker holds (the group aggregate under
+    /// S-backup). The batch is materialized for *every* held partition, so
+    /// a worker that computed only some of its shards (a speculative
+    /// duplicate) can still apply the broadcast update to all of them.
     ///
     /// Partition kernels run on the worker pool; the reduction folds in
     /// fixed partition order, so the result is bit-identical at any pool
     /// width.
-    fn compute_stats(&mut self, iteration: u64) -> Result<Vec<f64>, String> {
+    fn compute_stats(
+        &mut self,
+        iteration: u64,
+        pids: &[usize],
+    ) -> Result<(Vec<usize>, Vec<f64>), String> {
         let _prof = ProfScope::enter("worker_stats");
         self.ensure_batch(iteration)?;
         let model = self.cfg.model;
+        let wanted = |pid: usize| pids.contains(&pid);
         self.pool.for_each_mut(&mut self.partitions, |_, p| {
-            model.compute_stats(&p.params, &p.batch, &mut p.stats);
+            if wanted(p.pid) {
+                model.compute_stats(&p.params, &p.batch, &mut p.stats);
+            } else {
+                p.stats.clear();
+            }
         });
         let mut agg = vec![0.0; self.cfg.batch_size * model.stats_width()];
+        let mut covered = Vec::new();
         for p in &self.partitions {
-            reduce_stats(&mut agg, &p.stats);
+            if wanted(p.pid) {
+                reduce_stats(&mut agg, &p.stats);
+                covered.push(p.pid);
+            }
         }
-        Ok(agg)
+        Ok((covered, agg))
     }
 
     /// `updateModel` (Algorithm 3 lines 17-20): recovers the local gradient
@@ -471,38 +480,6 @@ impl WorkerNode {
         }
     }
 
-    /// `computeStatistics` over an explicit partition subset (elastic
-    /// engine). The batch is materialized for *every* held partition — so a
-    /// backup that computed only the straggler's partitions can still apply
-    /// the broadcast update to all its shards — but kernels run only for
-    /// the requested pids. Returns `(covered pids, partial)`.
-    fn compute_stats_for(
-        &mut self,
-        iteration: u64,
-        pids: &[usize],
-    ) -> Result<(Vec<usize>, Vec<f64>), String> {
-        let _prof = ProfScope::enter("worker_stats");
-        self.ensure_batch(iteration)?;
-        let model = self.cfg.model;
-        let wanted = |pid: usize| pids.contains(&pid);
-        self.pool.for_each_mut(&mut self.partitions, |_, p| {
-            if wanted(p.pid) {
-                model.compute_stats(&p.params, &p.batch, &mut p.stats);
-            } else {
-                p.stats.clear();
-            }
-        });
-        let mut agg = vec![0.0; self.cfg.batch_size * model.stats_width()];
-        let mut covered = Vec::new();
-        for p in &self.partitions {
-            if wanted(p.pid) {
-                reduce_stats(&mut agg, &p.stats);
-                covered.push(p.pid);
-            }
-        }
-        Ok((covered, agg))
-    }
-
     /// The worksets of shard `pid` in block-id order plus its current
     /// parameters — the migration payload.
     fn shard_payload(&self, pid: usize) -> Option<(Vec<Workset>, ParamSet)> {
@@ -539,6 +516,10 @@ impl WorkerNode {
 /// here and are converted into [`ColMsg::WorkerPanic`] by the guarded
 /// spawn in the engine.
 ///
+/// `placement` is the run's initial partition → holders map (see
+/// [`WorkerNode`]); a worker it names nowhere starts empty and receives
+/// its shards by migration.
+///
 /// `recorder` receives this worker's kernel and guard records: a clone of
 /// the master's shared recorder in-process, or a worker-local recorder in
 /// a worker process. `ship` (TCP mode only, when the master traces) flushes
@@ -556,7 +537,7 @@ impl WorkerNode {
 pub fn run_worker(
     ep: Endpoint<ColMsg>,
     id: usize,
-    k: usize,
+    placement: Vec<Vec<usize>>,
     dim: u64,
     cfg: ColumnSgdConfig,
     script: WorkerScript,
@@ -573,7 +554,7 @@ pub fn run_worker(
             tx.flush(&recorder);
         }
     };
-    let mut w = WorkerNode::new(id, k, dim, cfg);
+    let mut w = WorkerNode::new(id, placement, dim, cfg);
     let held = w.partitions.len();
     let mut load_done_total: Option<usize> = None;
     let mut reload_done_total: Option<usize> = None;
@@ -593,33 +574,38 @@ pub fn run_worker(
                 iteration,
                 batch_size,
                 attempt,
+                pids,
             } => {
                 #[expect(clippy::panic, reason = "injected fault, reported as WorkerPanic")]
                 if script.crashes(id, iteration, attempt) {
                     panic!("injected worker failure at iteration {iteration} attempt {attempt}");
                 }
+                // A failed task echoes the requested pids so the master can
+                // retry exactly that task.
+                let task_failed = |compute_s: f64, sample_s: f64| ColMsg::StatsReplyFor {
+                    iteration,
+                    worker: id,
+                    pids: pids.clone(),
+                    partial: Vec::new(),
+                    compute_s,
+                    sample_s,
+                    task_failed: true,
+                };
+                let failed = |reason: &str, compute_s: f64, sample_s: f64| {
+                    eprintln!("worker {id}: ComputeStats t={iteration} failed: {reason}");
+                    task_failed(compute_s, sample_s)
+                };
                 if batch_size != w.cfg.batch_size {
                     // A malformed task: computing on a differently-sized
                     // batch would ship statistics the master cannot reduce
                     // (and silently train on the wrong data in release
                     // builds). Report a task failure and let the master's
                     // retry logic decide.
-                    eprintln!(
-                        "worker {id}: ComputeStats t={iteration} carries batch_size \
-                         {batch_size}, configured {}; refusing task",
+                    let reason = format!(
+                        "carries batch_size {batch_size}, configured {}",
                         w.cfg.batch_size
                     );
-                    let _ = ep.send(
-                        NodeId::Master,
-                        ColMsg::StatsReply {
-                            iteration,
-                            worker: id,
-                            partial: Vec::new(),
-                            compute_s: 0.0,
-                            sample_s: 0.0,
-                            task_failed: true,
-                        },
-                    );
+                    let _ = ep.send(NodeId::Master, failed(&reason, 0.0, 0.0));
                     continue;
                 }
                 if !w.loaded() {
@@ -629,86 +615,69 @@ pub fn run_worker(
                     eprintln!("worker {id}: dropping ComputeStats t={iteration} before loading");
                     continue;
                 }
+                if pids.iter().all(|&pid| w.holds(pid).is_none()) {
+                    // The request raced a migration: let the master re-plan.
+                    let _ = ep.send(NodeId::Master, failed("no requested shard held", 0.0, 0.0));
+                    continue;
+                }
                 let start = Instant::now();
                 if script.task_fails(iteration, attempt) {
                     // Task failure: the task throws; report the exception
                     // and let the master decide (Figure 13a).
-                    let _ = ep.send(
-                        NodeId::Master,
-                        ColMsg::StatsReply {
+                    let elapsed = start.elapsed().as_secs_f64();
+                    let _ = ep.send(NodeId::Master, task_failed(elapsed, 0.0));
+                    continue;
+                }
+                // Time the sampling/assembly sub-phase separately for
+                // telemetry; `compute_stats` below hits the batch cache, so
+                // the work is not repeated. A batch that cannot be
+                // assembled (block lost in a reload race) is a task
+                // failure, not a worker death.
+                let sampled = w.ensure_batch(iteration);
+                let sample_s = start.elapsed().as_secs_f64();
+                match sampled.and_then(|()| w.compute_stats(iteration, &pids)) {
+                    Ok((covered, partial)) => {
+                        recorder.kernel(KernelRecord {
                             iteration,
-                            worker: id,
-                            partial: Vec::new(),
-                            compute_s: start.elapsed().as_secs_f64(),
-                            sample_s: 0.0,
-                            task_failed: true,
-                        },
-                    );
-                } else {
-                    // Time the sampling/assembly sub-phase separately for
-                    // telemetry; `compute_stats` below hits the batch
-                    // cache, so the work is not repeated. A batch that
-                    // cannot be assembled (block lost in a reload race) is
-                    // a task failure, not a worker death: report it and
-                    // let the master's retry logic decide.
-                    let sampled = w.ensure_batch(iteration);
-                    let sample_s = start.elapsed().as_secs_f64();
-                    match sampled.and_then(|()| w.compute_stats(iteration)) {
-                        Ok(partial) => {
-                            recorder.kernel(KernelRecord {
+                            model: w.cfg.model.label().to_string(),
+                            batch_size: w.cfg.batch_size as u64,
+                            pool_width: w.cfg.threads_per_worker as u64,
+                            flops_proxy: w.cfg.model.flops_proxy(w.cfg.batch_size, 1),
+                            worker: Some(id as u64),
+                        });
+                        // Worker-side NaN guard: a diverged kernel is
+                        // recorded here even when the statistics never
+                        // reach the master intact (e.g. a dropped reply),
+                        // so TCP traces keep the evidence.
+                        if partial.iter().any(|v| !v.is_finite()) {
+                            recorder.fault(FaultRecord {
                                 iteration,
-                                model: w.cfg.model.label().to_string(),
-                                batch_size: w.cfg.batch_size as u64,
-                                pool_width: w.cfg.threads_per_worker as u64,
-                                flops_proxy: w.cfg.model.flops_proxy(w.cfg.batch_size, 1),
-                                worker: Some(id as u64),
+                                worker: id as u64,
+                                fault: "non-finite statistics".to_string(),
+                                detection: "worker guard".to_string(),
+                                detection_latency_s: start.elapsed().as_secs_f64(),
+                                recovery_cost_s: 0.0,
+                                attempt: attempt + 1,
+                                fatal: false,
                             });
-                            // Worker-side NaN guard: a diverged kernel is
-                            // recorded here even when the statistics never
-                            // reach the master intact (e.g. a dropped
-                            // reply), so TCP traces keep the evidence.
-                            if partial.iter().any(|v| !v.is_finite()) {
-                                recorder.fault(FaultRecord {
-                                    iteration,
-                                    worker: id as u64,
-                                    fault: "non-finite statistics".to_string(),
-                                    detection: "worker guard".to_string(),
-                                    detection_latency_s: start.elapsed().as_secs_f64(),
-                                    recovery_cost_s: 0.0,
-                                    attempt: attempt + 1,
-                                    fatal: false,
-                                });
-                            }
-                            flush_telemetry();
-                            let _ = ep.send(
-                                NodeId::Master,
-                                ColMsg::StatsReply {
-                                    iteration,
-                                    worker: id,
-                                    partial,
-                                    compute_s: start.elapsed().as_secs_f64(),
-                                    sample_s,
-                                    task_failed: false,
-                                },
-                            );
                         }
-                        Err(e) => {
-                            eprintln!(
-                                "worker {id}: ComputeStats t={iteration} failed: {e}; \
-                                 reporting task failure"
-                            );
-                            let _ = ep.send(
-                                NodeId::Master,
-                                ColMsg::StatsReply {
-                                    iteration,
-                                    worker: id,
-                                    partial: Vec::new(),
-                                    compute_s: start.elapsed().as_secs_f64(),
-                                    sample_s,
-                                    task_failed: true,
-                                },
-                            );
-                        }
+                        flush_telemetry();
+                        let _ = ep.send(
+                            NodeId::Master,
+                            ColMsg::StatsReplyFor {
+                                iteration,
+                                worker: id,
+                                pids: covered,
+                                partial,
+                                compute_s: start.elapsed().as_secs_f64(),
+                                sample_s,
+                                task_failed: false,
+                            },
+                        );
+                    }
+                    Err(e) => {
+                        let elapsed = start.elapsed().as_secs_f64();
+                        let _ = ep.send(NodeId::Master, failed(&e, elapsed, sample_s));
                     }
                 }
             }
@@ -781,30 +750,68 @@ pub fn run_worker(
             // Crash recovery under S-backup: the master restores the
             // group-current parameters fetched from a surviving replica.
             ColMsg::InstallParams { parts } => w.install_params(parts),
+            ColMsg::ShardData {
+                pid,
+                epoch,
+                worksets,
+                params,
+            } => {
+                if w.install_shard(pid, epoch, worksets, params) {
+                    let _ = ep.send_reliable(
+                        NodeId::Master,
+                        ColMsg::ShardInstalled {
+                            pid,
+                            epoch,
+                            worker: id,
+                        },
+                    );
+                } else {
+                    eprintln!(
+                        "worker {id}: dropping stale ShardData for partition {pid} \
+                         (epoch {epoch})"
+                    );
+                }
+            }
+            ColMsg::ShardRequest { pid, epoch, to } => match w.shard_payload(pid) {
+                // The shard travels the *data* plane so chaos can hit it
+                // and the meter prices it like any other payload.
+                Some((worksets, params)) => {
+                    if let Err(e) = ep.send(
+                        NodeId::Worker(to),
+                        ColMsg::ShardData {
+                            pid,
+                            epoch,
+                            worksets,
+                            params,
+                        },
+                    ) {
+                        eprintln!("worker {id}: shard {pid} undeliverable to worker {to}: {e}");
+                    }
+                }
+                None => {
+                    eprintln!("worker {id}: ShardRequest for partition {pid} not held; dropping");
+                }
+            },
+            ColMsg::DropShard { pid, epoch } => w.drop_shard(pid, epoch),
             ColMsg::Shutdown => {
                 // Final drain: ship any events the last superstep's replies
                 // did not cover before the connection goes away.
                 flush_telemetry();
                 return;
             }
-            // Master-bound replies and elastic-only shard traffic are
-            // protocol noise on a static worker: log and drop instead of
-            // panicking. Named variant-by-variant (not a wildcard) so a
-            // new ColMsg variant fails both the compiler's exhaustiveness
-            // check and protocol-conformance until a decision is made.
+            // Master-bound replies are protocol noise on a worker: log and
+            // drop instead of panicking. Named variant-by-variant (not a
+            // wildcard) so a new ColMsg variant fails the compiler's
+            // exhaustiveness check until a decision is made.
             other @ (ColMsg::LoadAck { .. }
             | ColMsg::StatsReply { .. }
+            | ColMsg::StatsReplyFor { .. }
             | ColMsg::UpdateAck { .. }
             | ColMsg::ReloadAck { .. }
             | ColMsg::ModelReply { .. }
             | ColMsg::ProbeAck { .. }
             | ColMsg::WorkerPanic { .. }
-            | ColMsg::ComputeStatsFor { .. }
-            | ColMsg::StatsReplyFor { .. }
-            | ColMsg::ShardRequest { .. }
-            | ColMsg::ShardData { .. }
-            | ColMsg::ShardInstalled { .. }
-            | ColMsg::DropShard { .. }) => {
+            | ColMsg::ShardInstalled { .. }) => {
                 eprintln!(
                     "worker {id}: dropping unexpected {} from {}",
                     other.name(),
@@ -832,215 +839,6 @@ pub fn run_worker(
                     return;
                 }
                 load_done_total = None;
-            }
-        }
-    }
-}
-
-/// The elastic worker mailbox loop. Unlike [`run_worker`] there is no bulk
-/// load phase: shards arrive individually as [`ColMsg::ShardData`] (from
-/// the master at startup, from a peer during migration), compute requests
-/// name explicit partition subsets, and the held set changes over the
-/// worker's lifetime.
-#[deny(
-    clippy::wildcard_enum_match_arm,
-    clippy::match_wildcard_for_single_variants
-)]
-pub fn run_worker_dynamic(
-    ep: Endpoint<ColMsg>,
-    id: usize,
-    parts_total: usize,
-    dim: u64,
-    cfg: ColumnSgdConfig,
-    script: WorkerScript,
-) {
-    let mut w = WorkerNode::new_dynamic(id, parts_total, dim, cfg);
-
-    loop {
-        let env = match ep.recv() {
-            Ok(env) => env,
-            Err(_) => return,
-        };
-        match env.payload {
-            ColMsg::ShardData {
-                pid,
-                epoch,
-                worksets,
-                params,
-            } => {
-                if w.install_shard(pid, epoch, worksets, params) {
-                    let _ = ep.send_reliable(
-                        NodeId::Master,
-                        ColMsg::ShardInstalled {
-                            pid,
-                            epoch,
-                            worker: id,
-                        },
-                    );
-                } else {
-                    eprintln!(
-                        "worker {id}: dropping stale ShardData for partition {pid} \
-                         (epoch {epoch})"
-                    );
-                }
-            }
-            ColMsg::ShardRequest { pid, epoch, to } => {
-                match w.shard_payload(pid) {
-                    // The shard travels the *data* plane so chaos can hit
-                    // it and the meter prices it like any other payload.
-                    Some((worksets, params)) => {
-                        if let Err(e) = ep.send(
-                            NodeId::Worker(to),
-                            ColMsg::ShardData {
-                                pid,
-                                epoch,
-                                worksets,
-                                params,
-                            },
-                        ) {
-                            eprintln!("worker {id}: shard {pid} undeliverable to worker {to}: {e}");
-                        }
-                    }
-                    None => eprintln!(
-                        "worker {id}: ShardRequest for partition {pid} not held; dropping"
-                    ),
-                }
-            }
-            ColMsg::DropShard { pid, epoch } => w.drop_shard(pid, epoch),
-            ColMsg::InstallParams { parts } => w.install_params(parts),
-            ColMsg::ComputeStatsFor {
-                iteration,
-                batch_size,
-                attempt,
-                pids,
-            } => {
-                #[expect(clippy::panic, reason = "injected fault, reported as WorkerPanic")]
-                if script.crashes(id, iteration, attempt) {
-                    panic!("injected worker failure at iteration {iteration} attempt {attempt}");
-                }
-                let fail = |reason: &str, compute_s: f64, sample_s: f64| {
-                    eprintln!("worker {id}: ComputeStatsFor t={iteration}: {reason}");
-                    ColMsg::StatsReplyFor {
-                        iteration,
-                        worker: id,
-                        pids: Vec::new(),
-                        partial: Vec::new(),
-                        compute_s,
-                        sample_s,
-                        task_failed: true,
-                    }
-                };
-                if batch_size != w.cfg.batch_size {
-                    let _ = ep.send(NodeId::Master, fail("batch size mismatch", 0.0, 0.0));
-                    continue;
-                }
-                if !w.loaded() || pids.iter().all(|&pid| w.holds(pid).is_none()) {
-                    // No requested shard installed here (a request raced a
-                    // migration): report failure so the master re-plans.
-                    let _ = ep.send(NodeId::Master, fail("no requested shard held", 0.0, 0.0));
-                    continue;
-                }
-                let start = Instant::now();
-                if script.task_fails(iteration, attempt) {
-                    let elapsed = start.elapsed().as_secs_f64();
-                    let _ = ep.send(NodeId::Master, fail("injected task failure", elapsed, 0.0));
-                    continue;
-                }
-                let sampled = w.ensure_batch(iteration);
-                let sample_s = start.elapsed().as_secs_f64();
-                match sampled.and_then(|()| w.compute_stats_for(iteration, &pids)) {
-                    Ok((covered, partial)) => {
-                        let _ = ep.send(
-                            NodeId::Master,
-                            ColMsg::StatsReplyFor {
-                                iteration,
-                                worker: id,
-                                pids: covered,
-                                partial,
-                                compute_s: start.elapsed().as_secs_f64(),
-                                sample_s,
-                                task_failed: false,
-                            },
-                        );
-                    }
-                    Err(e) => {
-                        let elapsed = start.elapsed().as_secs_f64();
-                        let _ = ep.send(NodeId::Master, fail(&e, elapsed, sample_s));
-                    }
-                }
-            }
-            ColMsg::Update { iteration, stats } => {
-                if w.applied_iteration == Some(iteration) {
-                    let _ = ep.send(
-                        NodeId::Master,
-                        ColMsg::UpdateAck {
-                            iteration,
-                            worker: id,
-                            compute_s: 0.0,
-                        },
-                    );
-                } else if Some(iteration) == w.batch_iteration() {
-                    let start = Instant::now();
-                    w.update(iteration, &stats);
-                    let _ = ep.send(
-                        NodeId::Master,
-                        ColMsg::UpdateAck {
-                            iteration,
-                            worker: id,
-                            compute_s: start.elapsed().as_secs_f64(),
-                        },
-                    );
-                } else {
-                    eprintln!(
-                        "worker {id}: dropping Update t={iteration} (batch is t={:?})",
-                        w.batch_iteration()
-                    );
-                }
-            }
-            ColMsg::Probe { iteration } => {
-                let _ = ep.send_reliable(
-                    NodeId::Master,
-                    ColMsg::ProbeAck {
-                        worker: id,
-                        iteration,
-                        loaded: w.loaded(),
-                    },
-                );
-            }
-            ColMsg::FetchModel => {
-                let parts = w
-                    .partitions
-                    .iter()
-                    .map(|p| (p.pid, p.params.clone()))
-                    .collect();
-                let _ = ep.send_reliable(NodeId::Master, ColMsg::ModelReply { worker: id, parts });
-            }
-            ColMsg::Die => w.die(),
-            ColMsg::Shutdown => return,
-            // Static-protocol loading/compute traffic and master-bound
-            // replies are noise on a dynamic worker: log and drop. Named
-            // explicitly so new variants force a decision here (compiler
-            // exhaustiveness + protocol-conformance both fail otherwise).
-            other @ (ColMsg::LoadBlock(..)
-            | ColMsg::ReloadBlock(..)
-            | ColMsg::Workset { .. }
-            | ColMsg::LoadDone { .. }
-            | ColMsg::ReloadDone { .. }
-            | ColMsg::ComputeStats { .. }
-            | ColMsg::LoadAck { .. }
-            | ColMsg::StatsReply { .. }
-            | ColMsg::StatsReplyFor { .. }
-            | ColMsg::UpdateAck { .. }
-            | ColMsg::ReloadAck { .. }
-            | ColMsg::ModelReply { .. }
-            | ColMsg::ProbeAck { .. }
-            | ColMsg::WorkerPanic { .. }
-            | ColMsg::ShardInstalled { .. }) => {
-                eprintln!(
-                    "worker {id}: dropping unexpected {} from {}",
-                    other.name(),
-                    env.from
-                );
             }
         }
     }

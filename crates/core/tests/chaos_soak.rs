@@ -9,9 +9,11 @@
 //! any divergence means hidden state (wall-clock, map order, races)
 //! leaked into training.
 
-use columnsgd_cluster::{ChaosSpec, FailurePlan, NetworkModel, WorkerState};
+use columnsgd_cluster::{
+    ChaosSpec, ClusterConfig, FailurePlan, NetworkModel, Recorder, WorkerState,
+};
 use columnsgd_core::{
-    ColumnSgdConfig, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent, ElasticOutcome,
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent, TrainOutcome,
 };
 use columnsgd_data::{synth, Dataset};
 use columnsgd_ml::ModelSpec;
@@ -118,7 +120,7 @@ fn matrix() -> Vec<Cell> {
     ]
 }
 
-fn run_cell(ds: &Dataset, cell: &Cell) -> (ElasticOutcome, Vec<(u64, usize, String, usize)>) {
+fn run_cell(ds: &Dataset, cell: &Cell) -> (TrainOutcome, Vec<(u64, usize, String, usize)>) {
     // The deadline must be generous: a spurious wall-clock timeout under
     // parallel test load would take the (deterministic) source-fallback
     // path in one run but not the other and break the migration-bytes
@@ -139,8 +141,17 @@ fn run_cell(ds: &Dataset, cell: &Cell) -> (ElasticOutcome, Vec<(u64, usize, Stri
         chaos: Some(cell.chaos),
         ..FailurePlan::none()
     };
-    let mut engine = ElasticEngine::new(ds, ecfg, NetworkModel::INSTANT, plan)
-        .unwrap_or_else(|e| panic!("{}: engine setup failed: {e}", cell.name));
+    let blocks = ds
+        .into_block_queue(cfg.block_size)
+        .iter()
+        .cloned()
+        .collect();
+    let cluster = ClusterConfig::in_proc();
+    let net = NetworkModel::INSTANT;
+    let recorder = Recorder::disabled();
+    let mut engine =
+        ColumnSgdEngine::from_blocks(blocks, ds.dimension(), ecfg, net, plan, recorder, &cluster)
+            .unwrap_or_else(|e| panic!("{}: engine setup failed: {e}", cell.name));
     let out = engine
         .train()
         .unwrap_or_else(|e| panic!("{}: training failed: {e}", cell.name));
@@ -172,7 +183,7 @@ fn chaos_matrix_is_deterministic_across_two_runs() {
         let (a, log_a) = run_cell(&ds, &cell);
         let (b, log_b) = run_cell(&ds, &cell);
         let losses =
-            |o: &ElasticOutcome| -> Vec<f64> { o.curve.points.iter().map(|p| p.loss).collect() };
+            |o: &TrainOutcome| -> Vec<f64> { o.curve.points.iter().map(|p| p.loss).collect() };
         assert_eq!(
             losses(&a),
             losses(&b),

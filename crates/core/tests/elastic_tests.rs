@@ -4,13 +4,16 @@
 //! seeded chaos determinism.
 
 use columnsgd_cluster::{
-    ChaosSpec, FailurePlan, Monitor, MonitorConfig, NetworkModel, Recorder, WorkerState,
+    ChaosSpec, ClusterConfig, FailurePlan, Monitor, MonitorConfig, NetworkModel, Recorder,
+    WorkerState,
 };
 use columnsgd_core::{
-    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent,
-    ElasticOutcome, ScalePolicy, TrainError,
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent, ScalePolicy,
+    TrainError, TrainOutcome,
 };
+use columnsgd_data::block::Block;
 use columnsgd_data::{synth, Dataset};
+use columnsgd_linalg::SparseVector;
 use columnsgd_ml::ModelSpec;
 
 fn dataset(rows: usize, dim: u64, seed: u64) -> Dataset {
@@ -25,22 +28,40 @@ fn base_cfg(model: ModelSpec) -> ColumnSgdConfig {
         .with_seed(11)
 }
 
-fn losses(out: &ElasticOutcome) -> Vec<f64> {
+fn losses(out: &TrainOutcome) -> Vec<f64> {
     out.curve.points.iter().map(|p| p.loss).collect()
 }
 
-fn run_elastic(ds: &Dataset, cfg: ElasticConfig, plan: FailurePlan) -> ElasticOutcome {
+/// An in-process engine of shape `cfg` over `ds`.
+fn engine(
+    ds: &Dataset,
+    cfg: ElasticConfig,
+    net: NetworkModel,
+    plan: FailurePlan,
+    recorder: Recorder,
+) -> Result<ColumnSgdEngine, TrainError> {
+    let blocks = ds
+        .into_block_queue(cfg.base.block_size)
+        .iter()
+        .cloned()
+        .collect();
+    let cluster = ClusterConfig::in_proc();
+    ColumnSgdEngine::from_blocks(blocks, ds.dimension(), cfg, net, plan, recorder, &cluster)
+}
+
+fn run_elastic(ds: &Dataset, cfg: ElasticConfig, plan: FailurePlan) -> TrainOutcome {
     let mut engine =
-        ElasticEngine::new(ds, cfg, NetworkModel::INSTANT, plan).expect("elastic engine");
+        engine(ds, cfg, NetworkModel::INSTANT, plan, Recorder::disabled()).expect("elastic engine");
     engine.train().expect("elastic train")
 }
 
-/// With every slot active from the start and no membership events, the
-/// elastic engine is the static engine: same canonical aggregation order,
-/// same batches, same shard layouts — the loss trajectories and the final
-/// models must be *bit-identical*.
+/// The short `new` form and the general `from_blocks` constructor given
+/// the fixed shape (every slot active, no membership events) build the
+/// same run: same canonical aggregation order, same batches, same shard
+/// layouts — the loss trajectories and the final models must be
+/// *bit-identical*.
 #[test]
-fn full_cluster_matches_static_engine_exactly() {
+fn short_and_general_constructors_train_identical_bits() {
     let ds = dataset(400, 80, 7);
     let cfg = base_cfg(ModelSpec::Lr);
 
@@ -49,11 +70,12 @@ fn full_cluster_matches_static_engine_exactly() {
     let stat_out = stat.train().expect("static train");
     let stat_model = stat.collect_model().expect("static model");
 
-    let mut elast = ElasticEngine::new(
+    let mut elast = engine(
         &ds,
         ElasticConfig::new(cfg, 4, 4),
         NetworkModel::INSTANT,
         FailurePlan::none(),
+        Recorder::disabled(),
     )
     .expect("elastic engine");
     let elast_out = elast.train().expect("elastic train");
@@ -122,7 +144,7 @@ fn late_join_levels_load_and_converges() {
     let cfg = base_cfg(ModelSpec::Lr);
 
     let recorder = Recorder::new();
-    let mut engine = ElasticEngine::new_traced(
+    let mut engine = engine(
         &ds,
         ElasticConfig::new(cfg, 4, 3).with_schedule(vec![ElasticEvent {
             iteration: 5,
@@ -233,11 +255,12 @@ fn speculation_caps_straggler_penalty() {
     let slow = run_elastic(&ds, ElasticConfig::new(cfg, 4, 4).with_replication(), sl5());
 
     // Same straggler, speculation armed by the monitor's alarm.
-    let mut engine = ElasticEngine::new(
+    let mut engine = engine(
         &ds,
         ElasticConfig::new(cfg, 4, 4).with_speculation(),
         NetworkModel::INSTANT,
         sl5(),
+        Recorder::disabled(),
     )
     .expect("elastic engine");
     engine.attach_monitor(Monitor::new(sensitive));
@@ -277,7 +300,7 @@ fn scale_policy_replaces_flagged_straggler() {
     };
 
     let recorder = Recorder::new();
-    let mut engine = ElasticEngine::new_traced(
+    let mut engine = engine(
         &ds,
         ecfg,
         NetworkModel::INSTANT,
@@ -351,7 +374,7 @@ fn chaos_crash_and_join_is_deterministic_across_runs() {
     let b = run_elastic(&ds, ecfg(cfg), plan());
 
     assert_eq!(losses(&a), losses(&b), "same seeds, same bits");
-    let log = |o: &ElasticOutcome| {
+    let log = |o: &TrainOutcome| {
         o.membership_log
             .iter()
             .map(|ev| (ev.epoch, ev.worker, ev.action))
@@ -370,7 +393,7 @@ fn last_worker_crash_surfaces_worker_lost() {
     let cfg = base_cfg(ModelSpec::Lr)
         .with_iterations(10)
         .with_deadline_ms(300);
-    let mut engine = ElasticEngine::new(
+    let mut engine = engine(
         &ds,
         ElasticConfig::new(cfg, 2, 1).with_schedule(vec![ElasticEvent {
             iteration: 2,
@@ -379,6 +402,7 @@ fn last_worker_crash_surfaces_worker_lost() {
         }]),
         NetworkModel::INSTANT,
         FailurePlan::none(),
+        Recorder::disabled(),
     )
     .expect("elastic engine");
     let err = engine.train().expect_err("must fail");
@@ -389,27 +413,35 @@ fn last_worker_crash_surfaces_worker_lost() {
     assert_eq!(err.exit_code(), 12);
 }
 
-/// Elastic shapes that cannot work are rejected at construction with a
-/// typed plan error: backup groups (elastic owns replication), zero
-/// workers, speculation without a replica to race.
+/// Shapes that cannot work are rejected at construction with a typed
+/// error: backup groups in a shape that changes membership (elastic owns
+/// replication), zero workers, speculation without a replica to race, an
+/// empty dataset, non-dense block ids, and `(S+1) ∤ K`.
 #[test]
 fn impossible_elastic_shapes_are_rejected() {
     let ds = dataset(200, 40, 7);
     let cfg = base_cfg(ModelSpec::Lr);
 
-    let grouped = ElasticConfig::new(cfg.with_backup(1), 4, 4);
+    let grouped = ElasticConfig::new(cfg.with_backup(1), 4, 4).with_replication();
     assert!(matches!(
-        ElasticEngine::new(&ds, grouped, NetworkModel::INSTANT, FailurePlan::none()),
+        engine(
+            &ds,
+            grouped,
+            NetworkModel::INSTANT,
+            FailurePlan::none(),
+            Recorder::disabled()
+        ),
         Err(TrainError::InvalidPlan(_))
     ));
 
     let replicated_solo = ElasticConfig::new(cfg, 4, 1).with_replication();
     assert!(matches!(
-        ElasticEngine::new(
+        engine(
             &ds,
             replicated_solo,
             NetworkModel::INSTANT,
-            FailurePlan::none()
+            FailurePlan::none(),
+            Recorder::disabled()
         ),
         Err(TrainError::InvalidPlan(_))
     ));
@@ -417,13 +449,59 @@ fn impossible_elastic_shapes_are_rejected() {
     let mut solo_spec = ElasticConfig::new(cfg, 4, 4);
     solo_spec.speculate = true; // bypass the builder's implied replication
     assert!(matches!(
-        ElasticEngine::new(&ds, solo_spec, NetworkModel::INSTANT, FailurePlan::none()),
+        engine(
+            &ds,
+            solo_spec,
+            NetworkModel::INSTANT,
+            FailurePlan::none(),
+            Recorder::disabled()
+        ),
         Err(TrainError::InvalidPlan(_))
     ));
 
     let overfull = ElasticConfig::new(cfg, 2, 3);
     assert!(matches!(
-        ElasticEngine::new(&ds, overfull, NetworkModel::INSTANT, FailurePlan::none()),
+        engine(
+            &ds,
+            overfull,
+            NetworkModel::INSTANT,
+            FailurePlan::none(),
+            Recorder::disabled()
+        ),
+        Err(TrainError::InvalidPlan(_))
+    ));
+
+    // Bad inputs to the fixed-shape constructors are typed errors too.
+    let empty = Dataset::with_dimension(Vec::new(), 40);
+    assert!(matches!(
+        ColumnSgdEngine::new(&empty, 2, cfg, NetworkModel::INSTANT, FailurePlan::none()),
+        Err(TrainError::LoadFailed(_))
+    ));
+    let rows: Vec<(f64, SparseVector)> = (0..8)
+        .map(|i| (1.0, SparseVector::from_pairs(vec![(i, 1.0)])))
+        .collect();
+    let sparse_ids = vec![Block::from_rows(0, &rows), Block::from_rows(2, &rows)];
+    assert!(matches!(
+        ColumnSgdEngine::from_blocks(
+            sparse_ids,
+            40,
+            ElasticConfig::new(cfg, 2, 2),
+            NetworkModel::INSTANT,
+            FailurePlan::none(),
+            Recorder::disabled(),
+            &ClusterConfig::in_proc()
+        ),
+        Err(TrainError::LoadFailed(_))
+    ));
+    let indivisible = cfg.with_backup(1); // S+1 = 2 does not divide K = 3
+    assert!(matches!(
+        ColumnSgdEngine::new(
+            &ds,
+            3,
+            indivisible,
+            NetworkModel::INSTANT,
+            FailurePlan::none()
+        ),
         Err(TrainError::InvalidPlan(_))
     ));
 }

@@ -3,9 +3,11 @@
 //! computation, straggler handling, and fault tolerance.
 
 use columnsgd_cluster::failure::FailureEvent;
-use columnsgd_cluster::{ChaosSpec, FailurePlan, NetworkModel, NodeId};
+use columnsgd_cluster::{ChaosSpec, ClusterConfig, FailurePlan, NetworkModel, NodeId, Recorder};
 use columnsgd_core::config::PartitionScheme;
-use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, FaultKind, TrainError};
+use columnsgd_core::{
+    ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, ElasticConfig, FaultKind, TrainError,
+};
 use columnsgd_data::{synth, Dataset};
 use columnsgd_ml::serial::{self, SerialConfig};
 use columnsgd_ml::{ModelSpec, OptimizerKind, UpdateParams};
@@ -507,10 +509,11 @@ fn engine_trains_from_streamed_blocks() {
     let mut engine = ColumnSgdEngine::from_blocks(
         blocks,
         dim,
-        3,
-        cfg,
+        ElasticConfig::new(cfg, 3, 3),
         NetworkModel::INSTANT,
         FailurePlan::none(),
+        Recorder::disabled(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     let out = engine.train().expect("train");
@@ -718,7 +721,7 @@ fn worker_refuses_mismatched_batch_size() {
         run_worker(
             wep,
             0,
-            1,
+            vec![vec![0]],
             10,
             cfg,
             WorkerScript::default(),
@@ -734,6 +737,7 @@ fn worker_refuses_mismatched_batch_size() {
                 iteration: 3,
                 batch_size: 63,
                 attempt: 0,
+                pids: vec![0],
             },
         )
         .expect("send");
@@ -741,7 +745,7 @@ fn worker_refuses_mismatched_batch_size() {
         .recv_timeout(std::time::Duration::from_secs(5))
         .expect("reply");
     match env.payload {
-        ColMsg::StatsReply {
+        ColMsg::StatsReplyFor {
             iteration,
             worker,
             partial,
@@ -752,7 +756,7 @@ fn worker_refuses_mismatched_batch_size() {
             assert!(partial.is_empty(), "no statistics may be computed");
             assert_eq!((iteration, worker), (3, 0));
         }
-        other => panic!("expected StatsReply, got {}", other.name()),
+        other => panic!("expected StatsReplyFor, got {}", other.name()),
     }
     master
         .send(NodeId::Worker(0), ColMsg::Shutdown)
@@ -811,7 +815,6 @@ fn backup_crash_mid_gather_completes_from_surviving_replica() {
 /// still reconcile with `TrafficStats` exactly when recovery traffic flows.
 #[test]
 fn recovery_reload_is_traced_and_reconciles_with_meter() {
-    use columnsgd_cluster::Recorder;
     let ds = dataset(600, 80, 23);
     let cfg = base_cfg(ModelSpec::Lr).with_iterations(20);
     let plan = FailurePlan {
@@ -822,9 +825,16 @@ fn recovery_reload_is_traced_and_reconciles_with_meter() {
         ..FailurePlan::default()
     };
     let recorder = Recorder::new();
-    let mut engine =
-        ColumnSgdEngine::new_traced(&ds, 3, cfg, NetworkModel::CLUSTER1, plan, recorder.clone())
-            .expect("engine");
+    let mut engine = ColumnSgdEngine::new_clustered(
+        &ds,
+        3,
+        cfg,
+        NetworkModel::CLUSTER1,
+        plan,
+        recorder.clone(),
+        &ClusterConfig::in_proc(),
+    )
+    .expect("engine");
     let out = engine.train().expect("train");
     let total = engine.traffic().total();
     let s = recorder.summary();

@@ -4,32 +4,58 @@
 
 #![expect(clippy::disallowed_types, reason = "scrapes /metrics like Prometheus")]
 
+use std::collections::BTreeSet;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 
 use columnsgd_cluster::telemetry::MetricsRegistry;
-use columnsgd_cluster::{FailurePlan, NetworkModel, Recorder};
-use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine};
+use columnsgd_cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
+use columnsgd_core::{
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent,
+};
 use columnsgd_data::synth;
 use columnsgd_ml::ModelSpec;
 
 const ITERATIONS: u64 = 8;
 
-fn trained_registry() -> MetricsRegistry {
-    let ds = synth::small_test_dataset(240, 48, 9);
-    let cfg = ColumnSgdConfig::new(ModelSpec::Lr)
+fn cfg() -> ColumnSgdConfig {
+    ColumnSgdConfig::new(ModelSpec::Lr)
         .with_batch_size(32)
         .with_iterations(ITERATIONS)
         .with_learning_rate(0.5)
-        .with_seed(17);
+        .with_seed(17)
+}
+
+/// An elastic join run: 2 of 3 slots active, the spare joins at t=2.
+fn join_shape() -> ElasticConfig {
+    ElasticConfig::new(cfg(), 3, 2).with_schedule(vec![ElasticEvent {
+        iteration: 2,
+        worker: 2,
+        action: ElasticAction::Join,
+    }])
+}
+
+fn trained_registry() -> MetricsRegistry {
+    trained_shape_registry(ElasticConfig::new(cfg(), 2, 2))
+}
+
+/// [`trained_registry`] for any run shape.
+fn trained_shape_registry(shape: ElasticConfig) -> MetricsRegistry {
+    let ds = synth::small_test_dataset(240, 48, 9);
     let metrics = MetricsRegistry::new();
-    let mut engine = ColumnSgdEngine::new_traced(
-        &ds,
-        2,
-        cfg,
+    let blocks = ds
+        .into_block_queue(shape.base.block_size)
+        .iter()
+        .cloned()
+        .collect();
+    let mut engine = ColumnSgdEngine::from_blocks(
+        blocks,
+        ds.dimension(),
+        shape,
         NetworkModel::CLUSTER1,
         FailurePlan::none(),
         Recorder::new(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     engine.attach_metrics(metrics.clone());
@@ -46,14 +72,32 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
     resp
 }
 
+/// The metric names of an exposition (labels and values stripped).
+fn series(exposition: &str) -> BTreeSet<&str> {
+    exposition
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split(['{', ' ']).next())
+        .filter(|name| name.starts_with("columnsgd_"))
+        .collect()
+}
+
 /// A Prometheus-style scrape over live TCP after a traced run: correct
 /// status line, content type, and every engine family present with the
-/// values the run actually produced.
+/// values the run actually produced — for a static run and an elastic
+/// join run alike, with the same series names.
 #[test]
 fn live_scrape_after_traced_run() {
-    let metrics = trained_registry();
+    let fixed = trained_registry().render();
+    for metrics in [trained_registry(), trained_shape_registry(join_shape())] {
+        live_scrape(metrics, &fixed);
+    }
+}
+
+fn live_scrape(metrics: MetricsRegistry, fixed: &str) {
     let addr = metrics.serve("127.0.0.1:0").expect("bind responder");
     let resp = scrape(addr, "/metrics");
+    assert_eq!(series(&resp), series(fixed), "series names differ:\n{resp}");
 
     assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
     assert!(

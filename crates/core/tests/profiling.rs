@@ -20,7 +20,9 @@ use std::time::Duration;
 
 use columnsgd_cluster::telemetry::{profile, Event};
 use columnsgd_cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
-use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine};
+use columnsgd_core::{
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent,
+};
 use columnsgd_data::synth;
 use columnsgd_ml::ModelSpec;
 
@@ -76,12 +78,34 @@ fn profiled_cfg() -> ColumnSgdConfig {
         .with_threads_per_worker(1)
 }
 
+/// An elastic join run: 2 of 3 slots active, the spare joins at t=2.
+fn join_shape() -> ElasticConfig {
+    ElasticConfig::new(profiled_cfg(), 3, 2).with_schedule(vec![ElasticEvent {
+        iteration: 2,
+        worker: 2,
+        action: ElasticAction::Join,
+    }])
+}
+
+/// The distinct `origin;stack` keys of a fold (its scope names).
+fn stacks(fold: &str) -> Vec<&str> {
+    fold.lines()
+        .filter_map(|l| l.rsplit_once(' '))
+        .map(|(k, _)| k)
+        .collect()
+}
+
 /// One traced, profiled run on the given backend; returns the fold and
 /// the count of worker-originated prof events (shipped over telemetry
 /// frames — only the TCP backend produces these).
 fn profiled_run(cluster: &ClusterConfig) -> (String, usize) {
+    profiled_shape_run(cluster, ElasticConfig::new(profiled_cfg(), 2, 2))
+}
+
+/// [`profiled_run`] for any run shape.
+fn profiled_shape_run(cluster: &ClusterConfig, shape: ElasticConfig) -> (String, usize) {
     discard_residue();
-    let cfg = profiled_cfg();
+    let cfg = shape.base;
     let ds = synth::small_test_dataset(240, 48, 9);
     let blocks: Vec<_> = ds
         .into_block_queue(cfg.block_size)
@@ -90,11 +114,10 @@ fn profiled_run(cluster: &ClusterConfig) -> (String, usize) {
         .collect();
     let dim = ds.dimension();
     let recorder = Recorder::new();
-    let mut engine = ColumnSgdEngine::from_blocks_clustered(
+    let mut engine = ColumnSgdEngine::from_blocks(
         blocks,
         dim,
-        2,
-        cfg,
+        shape,
         NetworkModel::INSTANT,
         FailurePlan::none(),
         recorder.clone(),
@@ -118,11 +141,21 @@ fn flame_fold_is_deterministic_inproc() {
     profile::set_enabled(true);
     let (fold_a, _) = profiled_run(&ClusterConfig::in_proc());
     let (fold_b, _) = profiled_run(&ClusterConfig::in_proc());
+    let (join_a, _) = profiled_shape_run(&ClusterConfig::in_proc(), join_shape());
+    let (join_b, _) = profiled_shape_run(&ClusterConfig::in_proc(), join_shape());
     profile::set_enabled(false);
     discard_residue();
 
     assert!(!fold_a.is_empty(), "profiled run produced no prof events");
     assert_eq!(fold_a, fold_b, "same-seed in-process folds diverged");
+    assert_eq!(join_a, join_b, "same-seed elastic join folds diverged");
+    // The elastic run goes through the same master: the same master and
+    // worker scopes, only their call counts differ.
+    assert_eq!(
+        stacks(&join_a),
+        stacks(&fold_a),
+        "elastic scopes differ:\n{join_a}"
+    );
     // Every instrumented layer is represented. In-process worker threads
     // share the master's registry, so their frames fold under "master".
     for stack in [
@@ -191,15 +224,9 @@ fn profiling_does_not_change_the_trajectory() {
         profile::set_enabled(profiled);
         let cfg = profiled_cfg();
         let ds = synth::small_test_dataset(240, 48, 9);
-        let mut engine = ColumnSgdEngine::new_traced(
-            &ds,
-            2,
-            cfg,
-            NetworkModel::INSTANT,
-            FailurePlan::none(),
-            Recorder::disabled(),
-        )
-        .expect("engine");
+        let mut engine =
+            ColumnSgdEngine::new(&ds, 2, cfg, NetworkModel::INSTANT, FailurePlan::none())
+                .expect("engine");
         let out = engine.train().expect("train");
         profile::set_enabled(false);
         out.curve.points.iter().map(|p| p.loss).collect::<Vec<_>>()

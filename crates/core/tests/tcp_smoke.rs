@@ -9,7 +9,10 @@
 use std::path::PathBuf;
 
 use columnsgd_cluster::{ClusterConfig, FailureEvent, FailurePlan, NetworkModel, Recorder};
-use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, FaultKind};
+use columnsgd_core::{
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent, FaultKind,
+    ScalePolicy, TrainError,
+};
 use columnsgd_data::block::Block;
 use columnsgd_data::synth;
 use columnsgd_ml::ModelSpec;
@@ -40,14 +43,15 @@ struct RunResult {
     canonical: Vec<String>,
 }
 
+/// One traced run of the fixed shape, through the general `from_blocks`
+/// constructor.
 fn run_on(cluster: &ClusterConfig, cfg: ColumnSgdConfig, k: usize, plan: FailurePlan) -> RunResult {
     let (blocks, dim) = blocks_for(&cfg, 240, 48, 9);
     let recorder = Recorder::new();
-    let mut engine = ColumnSgdEngine::from_blocks_clustered(
+    let mut engine = ColumnSgdEngine::from_blocks(
         blocks,
         dim,
-        k,
-        cfg,
+        ElasticConfig::new(cfg, k, k),
         NetworkModel::INSTANT,
         plan,
         recorder.clone(),
@@ -148,11 +152,10 @@ fn tcp_crash_is_detected_and_logged() {
     let cfg = smoke_cfg();
     let (blocks, dim) = blocks_for(&cfg, 240, 48, 9);
     let cluster = ClusterConfig::tcp().with_worker_bin(worker_bin());
-    let mut engine = ColumnSgdEngine::from_blocks_clustered(
+    let mut engine = ColumnSgdEngine::from_blocks(
         blocks,
         dim,
-        2,
-        cfg,
+        ElasticConfig::new(cfg, 2, 2),
         NetworkModel::INSTANT,
         crash_plan(2, 0),
         Recorder::disabled(),
@@ -167,4 +170,57 @@ fn tcp_crash_is_detected_and_logged() {
         "expected a recovered worker failure, got {:?}",
         out.recovery
     );
+}
+
+/// Scale features need the in-process transport: each one, asked for over
+/// TCP, is a typed `InvalidPlan` naming the feature — raised before any
+/// worker process is spawned.
+#[test]
+fn scale_features_over_tcp_are_rejected_by_name() {
+    let cfg = smoke_cfg();
+    let (blocks, dim) = blocks_for(&cfg, 240, 48, 9);
+    let crash = ElasticEvent {
+        iteration: 2,
+        worker: 1,
+        action: ElasticAction::Crash,
+    };
+    let mut policy = ElasticConfig::new(cfg, 3, 3);
+    policy.policy = ScalePolicy {
+        replace_flagged_after: Some(3),
+    };
+    let shapes = [
+        ("initial_workers", ElasticConfig::new(cfg, 3, 2)),
+        (
+            "schedule",
+            ElasticConfig::new(cfg, 3, 3).with_schedule(vec![crash]),
+        ),
+        (
+            "replicate",
+            ElasticConfig::new(cfg, 3, 3).with_replication(),
+        ),
+        (
+            "speculate",
+            ElasticConfig::new(cfg, 3, 3).with_speculation(),
+        ),
+        ("policy", policy),
+    ];
+    let cluster = ClusterConfig::tcp().with_worker_bin(worker_bin());
+    for (feature, shape) in shapes {
+        let built = ColumnSgdEngine::from_blocks(
+            blocks.clone(),
+            dim,
+            shape,
+            NetworkModel::INSTANT,
+            FailurePlan::none(),
+            Recorder::disabled(),
+            &cluster,
+        );
+        match built {
+            Err(TrainError::InvalidPlan(msg)) => {
+                assert!(msg.contains(&format!("`{feature}`")), "{feature}: {msg}");
+            }
+            Err(e) => panic!("{feature}: expected InvalidPlan, got {e}"),
+            Ok(_) => panic!("{feature}: scale feature accepted over TCP"),
+        }
+    }
 }

@@ -69,6 +69,10 @@ fn all_variants(seed: u64, nrows: usize, stats: Vec<f64>, pids: Vec<usize>) -> V
         1 => vec![1, 1 + (seed % 8) as usize],
         _ => vec![1; 2 + (seed % 6) as usize],
     };
+    // A statistics task and its reply always name at least one partition.
+    let task_pids: Vec<usize> = std::iter::once((seed % 32) as usize)
+        .chain(pids.iter().copied().take(3))
+        .collect();
     let msgs = vec![
         ColMsg::LoadBlock(sample_block(seed, nrows)),
         ColMsg::Workset {
@@ -86,6 +90,7 @@ fn all_variants(seed: u64, nrows: usize, stats: Vec<f64>, pids: Vec<usize>) -> V
             iteration: seed,
             batch_size: 1 + (seed % 1000) as usize,
             attempt: seed % 5,
+            pids: task_pids.clone(),
         },
         ColMsg::StatsReply {
             iteration: seed,
@@ -137,16 +142,10 @@ fn all_variants(seed: u64, nrows: usize, stats: Vec<f64>, pids: Vec<usize>) -> V
                 .map(|&p| (p, sample_params(seed ^ p as u64, 1 + p % 5, &widths)))
                 .collect(),
         },
-        ColMsg::ComputeStatsFor {
-            iteration: seed,
-            batch_size: 1 + (seed % 1000) as usize,
-            attempt: seed % 5,
-            pids: pids.clone(),
-        },
         ColMsg::StatsReplyFor {
             iteration: seed,
             worker: (seed % 16) as usize,
-            pids: pids.clone(),
+            pids: task_pids,
             partial: stats,
             compute_s: noise(seed, 4).abs(),
             sample_s: noise(seed, 5).abs(),
@@ -207,17 +206,16 @@ fn variant_index(m: &ColMsg) -> usize {
         ColMsg::WorkerPanic { .. } => 16,
         ColMsg::Shutdown => 17,
         ColMsg::InstallParams { .. } => 18,
-        ColMsg::ComputeStatsFor { .. } => 19,
-        ColMsg::StatsReplyFor { .. } => 20,
-        ColMsg::ShardRequest { .. } => 21,
-        ColMsg::ShardData { .. } => 22,
-        ColMsg::ShardInstalled { .. } => 23,
-        ColMsg::DropShard { .. } => 24,
+        ColMsg::StatsReplyFor { .. } => 19,
+        ColMsg::ShardRequest { .. } => 20,
+        ColMsg::ShardData { .. } => 21,
+        ColMsg::ShardInstalled { .. } => 22,
+        ColMsg::DropShard { .. } => 23,
     }
 }
 
 /// Number of `ColMsg` variants: one past the largest `variant_index`.
-const VARIANTS: usize = 25;
+const VARIANTS: usize = 24;
 
 /// Every variant has exactly one sample in `all_variants`, so the codec
 /// properties in this file cover the whole protocol.
@@ -240,7 +238,9 @@ proptest! {
     /// For every message kind, under randomized payloads: the full
     /// envelope frame is exactly `wire_size() + ENVELOPE_BYTES` bytes,
     /// the header decodes, and decode∘encode is the identity (compared
-    /// via re-encoded bytes — `ColMsg` is not `PartialEq`).
+    /// via re-encoded bytes — `ColMsg` is not `PartialEq`). Statistics
+    /// tasks (`ComputeStats`) and replies (`StatsReplyFor`) name 1–4
+    /// partitions.
     #[test]
     fn every_kind_frames_at_wire_size(
         seed in 0u64..1_000_000,

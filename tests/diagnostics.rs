@@ -3,7 +3,7 @@
 //! the divergence guard surfacing as a typed `TrainError`, and metrics
 //! snapshot streaming.
 
-use columnsgd::cluster::{FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine, TrainError};
 use columnsgd::data::synth;
 use columnsgd::ml::ModelSpec;
@@ -173,13 +173,14 @@ fn monitored_traced_run_still_reconciles_bytes() {
         .with_iterations(6)
         .with_seed(13);
     let recorder = Recorder::new();
-    let mut e = ColumnSgdEngine::new_traced(
+    let mut e = ColumnSgdEngine::new_clustered(
         &ds,
         3,
         cfg,
         NetworkModel::CLUSTER1,
         FailurePlan::none(),
         recorder.clone(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     e.attach_monitor(Monitor::new(MonitorConfig::default()));
